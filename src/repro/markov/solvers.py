@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Dict
+import threading
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +35,13 @@ from scipy.linalg import expm
 
 from ..obs import metrics, trace
 from .chain import CTMC
+
+
+#: ``(terms, fallback)`` of this thread's latest
+#: :func:`uniformization_propagate` call, read back per grid interval by
+#: :func:`transient_uniformization` (thread-local, so concurrent solves
+#: in service job threads cannot mix their counts).
+_last_call = threading.local()
 
 
 def uniformization_propagate(
@@ -48,21 +56,27 @@ def uniformization_propagate(
 
     ``rates`` is the off-diagonal rate matrix (CSR); the generator's
     diagonal is implied by its row sums.  This is the low-level primitive
-    shared by :func:`transient_uniformization` and the deterministic
-    scrubbing solver.
+    shared by :func:`transient_uniformization` (one call per grid
+    interval) and the deterministic scrubbing and mission solvers.
+
+    The DTMC kernel ``P = I + Q/L`` is built once per call, already
+    transposed to CSR, so every series term is one ``P^T @ v`` sparse
+    matvec; the sums run in the same order as ``v @ P`` would.
 
     Truncation preserves *relative* accuracy of small entries: the series
-    runs for at least ``min_terms`` terms (default: the state count, so
-    every reachable state receives its leading-order contribution) and
-    then until the remaining Poisson mass is below ``rtol`` times the
-    smallest positive accumulated entry.  This is what lets absorbing-state
-    probabilities of 1e-200 come out with full significance instead of
-    being lost against the O(1) bulk.
+    runs for at least ``min_terms`` terms (default ``min(n + 1, 10000)``
+    for ``n`` states, so every reachable state of a model of up to 10,000
+    states receives its leading-order contribution) and then until the
+    remaining Poisson mass is below ``rtol`` times the smallest positive
+    accumulated entry.  This is what lets absorbing-state probabilities of
+    1e-200 come out with full significance instead of being lost against
+    the O(1) bulk.
 
     The span recorded under the name ``"uniformization_propagate"``
     carries the truncation decision: ``terms_used``, ``lt``,
-    ``tail_bound`` at exit, and ``fallback`` (whether the log-domain
-    large-``L·t`` path ran).
+    ``tail_bound`` at exit, and ``fallback`` (whether the windowed
+    large-``L·t`` path ran).  ``terms_used`` is also added to the
+    ``repro.solver.uniformization.terms`` counter on both paths.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -80,8 +94,10 @@ def uniformization_propagate(
         # rate below ~1e-250 cannot move representable probability mass
         if lam < 1e-250 or t == 0.0:
             sp.set_attrs(lt=0.0, terms_used=0, tail_bound=0.0, fallback=False)
+            _last_call.work = (0, False)
             return np.asarray(p0, dtype=float).copy()
-        kernel = (rates + sparse.diags(lam - out_rates)) / lam  # row-stochastic
+        # row-stochastic kernel, transposed once: ``v @ P`` == ``kernel_t @ v``
+        kernel_t = ((rates + sparse.diags(lam - out_rates)) / lam).T.tocsr()
         n_states = rates.shape[0]
         if min_terms is None:
             # every state is first reached within num_states terms; cap to
@@ -99,13 +115,16 @@ def uniformization_propagate(
             # relative weights never leave the normal range.
             sp.set_attr("fallback", True)
             registry.counter("repro.solver.uniformization.fallbacks").inc()
-            return _uniformization_large_lt(v, kernel, lt, rtol, sp)
+            acc, j = _uniformization_large_lt(v, kernel_t, lt, rtol, sp)
+            registry.counter("repro.solver.uniformization.terms").inc(j)
+            _last_call.work = (j, True)
+            return acc
         acc = weight * v
         j = 0
         tail_bound = float("inf")
         while j < max_terms:
             j += 1
-            v = v @ kernel
+            v = kernel_t @ v
             weight *= lt / j
             acc += weight * v
             if weight == 0.0:
@@ -123,6 +142,7 @@ def uniformization_propagate(
                 break
         sp.set_attrs(terms_used=j, tail_bound=tail_bound, fallback=False)
         registry.counter("repro.solver.uniformization.terms").inc(j)
+        _last_call.work = (j, False)
         return acc
 
 
@@ -142,9 +162,19 @@ def transient_uniformization(
     All quantities are nonnegative, so the summation never cancels; each
     state probability keeps near machine *relative* accuracy — which is
     what resolves the deep-tail BER curves of the paper's Figs. 8-10.
-    Poisson weights are generated in the linear domain by upward recursion
-    from ``e^{-Lt}``; for the paper's rates and horizons ``L t`` stays far
-    from the underflow regime (a log-domain fallback covers the rest).
+
+    The grid is walked in sorted order, and each point is reached from
+    the previous one: ``p(t_i) = uniformization_propagate(p(t_{i-1}),
+    t_i - t_{i-1})``.  Every step is again a nonnegative series, so the
+    relative accuracy carries over from step to step; duplicate times and
+    ``t = 0`` are zero-length steps.  Rows come back in the caller's
+    order.  Poisson weights are generated in the linear domain by upward
+    recursion from ``e^{-L·dt}``; a windowed fallback covers steps where
+    that start weight underflows.
+
+    The span ``"transient_uniformization"`` reports the work per grid
+    interval: ``terms_per_interval`` (aligned with the sorted grid),
+    ``terms_total`` and ``fallback_intervals``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -153,30 +183,46 @@ def transient_uniformization(
         "transient_uniformization",
         n_states=chain.num_states,
         n_times=len(times),
-    ):
+    ) as sp:
         result = np.empty((len(times), chain.num_states))
-        for pos, t in enumerate(times):
-            result[pos] = uniformization_propagate(
-                chain.rate_matrix, chain.p0, float(t), rtol=rtol, max_terms=max_terms
+        terms_per_interval = []
+        fallback_intervals = 0
+        p = chain.p0
+        t_prev = 0.0
+        for pos in np.argsort(times, kind="stable"):
+            t = float(times[pos])
+            p = uniformization_propagate(
+                chain.rate_matrix, p, t - t_prev, rtol=rtol, max_terms=max_terms
             )
+            terms, fallback = _last_call.work
+            terms_per_interval.append(terms)
+            fallback_intervals += fallback
+            result[pos] = p
+            t_prev = t
+        sp.set_attrs(
+            terms_per_interval=terms_per_interval,
+            terms_total=sum(terms_per_interval),
+            fallback_intervals=fallback_intervals,
+        )
         return result
 
 
 def _uniformization_large_lt(
     p0: np.ndarray,
-    kernel: sparse.spmatrix,
+    kernel_t: sparse.csr_matrix,
     lt: float,
     rtol: float,
     sp: trace.Span | None = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, int]:
     """Uniformization fallback when ``e^{-Lt}`` underflows.
 
     Sums the series inside a window of Poisson-significant terms around
     ``j = L·t``, rescaling the running weight when it grows large, and
     normalizes by the accumulated Poisson mass at the end (the common
     scale of numerator and denominator cancels, so no log-domain
-    bookkeeping is needed).  Only exercised for extreme ``L*t`` (not
-    reached by the paper's parameter ranges, but kept for generality).
+    bookkeeping is needed).  ``kernel_t`` is the transposed kernel
+    ``P^T``.  Returns the solution and the terms used: the ``j_lo`` jump
+    to the window plus the window itself.
     """
     # The Poisson(lt) mass beyond +-k*sqrt(lt) decays like exp(-k^2/2),
     # so choose k from the caller's rtol (the discarded tail is below it)
@@ -186,25 +232,24 @@ def _uniformization_large_lt(
     half = int(max(k, 10.0) * math.sqrt(lt)) + 10
     j_lo = max(0, centre - half)
     j_hi = centre + half
+    terms_used = j_hi + 1  # j_lo jump + (j_hi - j_lo + 1) window terms
     if sp is not None:
-        sp.set_attrs(
-            window_lo=j_lo, window_hi=j_hi, terms_used=j_hi - j_lo + 1
-        )
+        sp.set_attrs(window_lo=j_lo, window_hi=j_hi, terms_used=terms_used)
     v = p0.copy()
     if j_lo > 4096:
         # jump to the window with dense repeated squaring instead of j_lo
         # individual matvecs (j_lo can be 1e7+ when L*t is extreme)
-        v = v @ np.linalg.matrix_power(kernel.toarray(), j_lo)
+        v = v @ np.linalg.matrix_power(kernel_t.T.toarray(), j_lo)
     else:
         for _ in range(j_lo):
-            v = v @ kernel
+            v = kernel_t @ v
     acc = np.zeros_like(p0)
     total = 0.0
     w = 1.0  # relative weight; overall scale cancels in acc / total
     for j in range(j_lo, j_hi + 1):
         acc += w * v
         total += w
-        v = v @ kernel
+        v = kernel_t @ v
         w *= lt / (j + 1)
         if w > 1e200:
             acc /= w
@@ -213,7 +258,7 @@ def _uniformization_large_lt(
     if sp is not None:
         # relative mass outside the window, bounded by the Gaussian tail
         sp.set_attr("tail_bound", math.exp(-0.5 * max(k, 10.0) ** 2))
-    return acc / total
+    return acc / total, terms_used
 
 
 def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:

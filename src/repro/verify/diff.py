@@ -30,7 +30,9 @@ target                    layers                   compares
 ``rs-compiled-batch``     gf, rs                   compiled backend vs numpy batch codec:
                                                    encode/syndrome arrays and decode
                                                    outcomes must be bit-identical
-``markov-transient``      markov                   uniformization vs expm vs Taylor oracle
+``markov-transient``      markov                   uniformization vs expm vs Taylor oracle;
+                                                   stepped vs from-zero uniformization,
+                                                   relatively
 ``memory-analytic``       memory, markov           closed-form fail probability vs CTMC
 ``memory-mc-ber``         memory, simulator        analytic model vs batched Monte-Carlo
                                                    within a 5-sigma Wilson interval
@@ -52,6 +54,7 @@ target                    layers                   compares
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -631,9 +634,21 @@ def _induced_batch_bug(case: Case) -> Optional[Mismatch]:
 #: is relatively accurate, so the absolute gap is bounded by the same.
 _TRANSIENT_ATOL = 1e-9
 
+#: Relative tolerance of the stepped uniformization walk against
+#: from-zero solves of the same points.  Both are nonnegative series, so
+#: they agree to ~1e-13 relative entry by entry; only entries above
+#: ``_FROM_ZERO_FLOOR`` are compared (below it either side may underflow).
+_FROM_ZERO_RTOL = 1e-10
+_FROM_ZERO_FLOOR = 1e-290
+#: Where ``e^{-L t}`` is not a normal float the from-zero solve takes the
+#: windowed fallback, whose bound is absolute: the Poisson mass outside
+#: the window, ~2e-22 of the total.  Entries there get that much slack.
+_FALLBACK_ATOL = 1e-20
+
 
 def _check_markov_transient(case: Case) -> Optional[Mismatch]:
-    """Uniformization vs scipy expm vs truncated-Taylor oracle."""
+    """Uniformization vs scipy expm vs truncated-Taylor oracle, plus the
+    stepped walk vs from-zero uniformization, compared relatively."""
     from ..markov.solvers import transient_expm, transient_uniformization
 
     chain = gen.build_ctmc_from_case(case)
@@ -664,7 +679,41 @@ def _check_markov_transient(case: Case) -> Optional[Mismatch]:
                     f"{a} and {b} transient solutions diverge",
                     {"pair": [a, b], "max_abs_diff": diff},
                 )
-    return None
+    return _check_stepped_vs_from_zero(chain, times, solutions["uniformization"])
+
+
+def _check_stepped_vs_from_zero(
+    chain, times: np.ndarray, stepped: np.ndarray
+) -> Optional[Mismatch]:
+    """Each stepped row vs ``uniformization_propagate(p0, t)`` from zero.
+
+    The absolute gate above cannot see deep-tail error (a 1e-30 entry
+    off by 100% is 1e-30 absolute), so this comparison is relative.
+    """
+    from ..markov.solvers import uniformization_propagate
+
+    from_zero = np.array(
+        [uniformization_propagate(chain.rate_matrix, chain.p0, float(t)) for t in times]
+    )
+    lam = float(np.asarray(chain.rate_matrix.sum(axis=1)).max(initial=0.0))
+    fallback = np.exp(-lam * times) < sys.float_info.min
+    slack = np.where(fallback, _FALLBACK_ATOL, 0.0)[:, None]
+    scale = np.maximum(np.abs(stepped), np.abs(from_zero))
+    gap = np.abs(stepped - from_zero)
+    bad = (scale > _FROM_ZERO_FLOOR) & (gap > _FROM_ZERO_RTOL * scale + slack)
+    if not bad.any():
+        return None
+    row, state = (int(x) for x in np.argwhere(bad)[0])
+    return Mismatch(
+        "stepped and from-zero uniformization diverge",
+        {
+            "time": float(times[row]),
+            "state": state,
+            "stepped": float(stepped[row, state]),
+            "from_zero": float(from_zero[row, state]),
+            "relative_error": float(gap[row, state] / scale[row, state]),
+        },
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1294,7 +1343,9 @@ register_target(
         description=(
             "Uniformization vs scipy expm vs a truncated-Taylor oracle "
             "on random well-formed CTMCs (absorbing rows, frozen chains, "
-            "stiff rate spreads)"
+            "stiff rate spreads, unsorted grids with repeats and t=0), "
+            "plus the stepped walk vs from-zero solves, entry by entry "
+            "relatively"
         ),
         generate=gen.gen_ctmc_case,
         check=_check_markov_transient,

@@ -217,7 +217,9 @@ def gen_ctmc_case(
     * occasionally a *fully frozen* chain (every row zero) — the
       ``L = 0`` uniformization short-circuit;
     * rates spanning five decades, so stiffness varies trial to trial;
-    * both delta and spread initial distributions.
+    * both delta and spread initial distributions;
+    * unsorted time grids, sometimes with a repeated point or ``t = 0``
+      (zero-length steps of the step-to-step uniformization walk).
     """
     n = int(rng.integers(2, max_states + 1))
     frozen = allow_frozen and rng.random() < 0.05
@@ -243,7 +245,9 @@ def gen_ctmc_case(
         initial = [float(p) for p in probs]
     horizon = float(10.0 ** rng.uniform(-2.0, 1.0))
     n_times = int(rng.integers(1, 4))
-    times = sorted(float(rng.uniform(0.0, horizon)) for _ in range(n_times))
+    times = [float(rng.uniform(0.0, horizon)) for _ in range(n_times)]
+    if n_times > 1 and rng.random() < 0.3:
+        times[-1] = times[0] if rng.random() < 0.5 else 0.0
     return {
         "kind": "ctmc",
         "num_states": n,

@@ -8,6 +8,8 @@ from scipy import sparse
 from scipy.stats import erlang
 
 from repro.markov import CTMC
+from repro.memory import simplex_model
+from repro.memory.analytic import simplex_fail_probability
 from repro.markov.solvers import (
     TRANSIENT_SOLVERS,
     transient_expm,
@@ -68,7 +70,41 @@ class TestAgainstClosedForms:
         probs = transient_uniformization(chain, np.array([t]))
         expected = erlang.cdf(t, stages, scale=1.0 / rate)
         assert expected < 1e-30  # confirm we are genuinely deep in the tail
-        assert probs[0, stages] == pytest.approx(expected, rel=1e-10)
+        # abs=0: approx's default abs=1e-12 would accept any value here
+        assert probs[0, stages] == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_uniformization_deep_tail_multi_point_grid(self):
+        """Stepping p(t_i) -> p(t_{i+1}) keeps the relative accuracy of
+        every point of a deep-tail grid (P from ~1e-39 to ~1e-23)."""
+        stages, rate = 6, 1e-6
+        chain = erlang_chain(stages, rate)
+        times = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0])
+        probs = transient_uniformization(chain, times)
+        expected = erlang.cdf(times, stages, scale=1.0 / rate)
+        assert expected.max() < 1e-20
+        assert probs[:, stages] == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_rs3616_permanent_grid_relative_accuracy(self):
+        """A stepped 5-point grid down to P ~ 1e-69 against the
+        log-domain closed form, relatively (no absolute floor)."""
+        model = simplex_model(36, 16, erasure_per_symbol_day=1e-6)
+        times = np.linspace(0.0, 24 * 730.0, 5)
+        closed = simplex_fail_probability(model, times)
+        chain = model.fail_probability(times, method="uniformization")
+        assert closed[1] < 1e-60
+        assert chain[0] == closed[0] == 0.0
+        assert np.allclose(chain[1:], closed[1:], rtol=1e-12, atol=0.0)
+
+    def test_unsorted_grid_with_repeats_matches_sorted_solve(self):
+        rng = np.random.default_rng(11)
+        chain = random_chain(rng, 6)
+        times = np.array([2.5, 0.0, 1.0, 2.5, 0.4, 0.0, 7.0])
+        order = np.argsort(times, kind="stable")
+        unsorted = transient_uniformization(chain, times)
+        in_order = transient_uniformization(chain, times[order])
+        assert np.array_equal(unsorted[order], in_order)
+        assert np.array_equal(unsorted[1], chain.p0)
+        assert np.array_equal(unsorted[0], unsorted[3])
 
 
 class TestSolverCrossAgreement:
@@ -151,6 +187,58 @@ class TestUniformizationInternals:
             # the discarded Poisson tail must stay below ~exp(-k^2/2)
             assert attrs["tail_bound"] < 1e-21
         assert windows[1e-40] > windows[1e-14]
+
+    def test_fallback_terms_reach_the_counter(self):
+        """The windowed path counts its j_lo jump plus its window."""
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        rates = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        fresh = MetricsRegistry()
+        previous = set_registry(fresh)
+        collector = trace.TraceCollector()
+        try:
+            with trace.use_collector(collector):
+                uniformization_propagate(rates, np.array([1.0, 0.0]), 800.0)
+        finally:
+            set_registry(previous)
+        [span] = collector.spans("uniformization_propagate")
+        attrs = span["attrs"]
+        assert attrs["fallback"] is True
+        assert attrs["terms_used"] == attrs["window_hi"] + 1
+        assert fresh.counter("repro.solver.uniformization.terms").value == (
+            attrs["terms_used"]
+        )
+
+    def test_span_reports_terms_per_interval(self):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        chain = CTMC(
+            ["A", "B", "C"],
+            [("A", "B", 1000.0), ("B", "A", 1000.0), ("A", "C", 1e-3)],
+            "A",
+        )
+        # 0 and the repeat are zero-length steps; 0.8 -> 1.6 (L*dt ~ 800)
+        # takes the windowed fallback
+        times = np.array([0.8, 0.0, 0.01, 1.6, 0.8])
+        fresh = MetricsRegistry()
+        previous = set_registry(fresh)
+        collector = trace.TraceCollector()
+        try:
+            with trace.use_collector(collector):
+                transient_uniformization(chain, times)
+        finally:
+            set_registry(previous)
+        [span] = collector.spans("transient_uniformization")
+        attrs = span["attrs"]
+        per_interval = attrs["terms_per_interval"]
+        assert len(per_interval) == attrs["n_times"] == len(times)
+        terms = fresh.counter("repro.solver.uniformization.terms").value
+        assert sum(per_interval) == attrs["terms_total"] == terms
+        # sorted grid: 0, 0.01, 0.8, 0.8, 1.6
+        assert per_interval[0] == 0 and per_interval[3] == 0
+        assert min(per_interval[1], per_interval[2], per_interval[4]) > 0
+        fallbacks = fresh.counter("repro.solver.uniformization.fallbacks").value
+        assert attrs["fallback_intervals"] == fallbacks == 2
 
     def test_composition_property(self):
         """Propagating t1 then t2 equals propagating t1 + t2."""

@@ -8,6 +8,7 @@ plumbing and mismatch serialization get direct unit tests.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.verify import (
@@ -146,3 +147,74 @@ def test_shrink_candidates_stay_checkable(name):
         if i >= 10:
             break
         target.check(candidate)  # must not raise
+
+
+def _stepped_solver(step):
+    """A step-to-step transient solver whose interval update is ``step``."""
+
+    def solve(chain, times, rtol=1e-14, max_terms=2_000_000):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        out = np.empty((len(times), chain.num_states))
+        p, t_prev = chain.p0, 0.0
+        for pos in np.argsort(times, kind="stable"):
+            t = float(times[pos])
+            p = step(chain.rate_matrix, p, t, t_prev)
+            out[pos] = p
+            t_prev = t
+        return out
+
+    return solve
+
+
+#: Erlang(6) deep tail: P(absorbed) ~ (1e-6 t)^6 / 720, 1e-39 .. 1e-31.
+DEEP_TAIL_CASE = {
+    "kind": "ctmc",
+    "num_states": 7,
+    "transitions": [[i, i + 1, 1e-6] for i in range(6)],
+    "initial": 0,
+    "times": [10.0, 1.0, 30.0, 10.0, 0.0],
+}
+
+
+class TestMarkovTransientStepping:
+    """The markov-transient target must catch a broken stepped solve."""
+
+    def test_generated_grids_are_multi_point_unsorted(self):
+        target = get_target("markov-transient")
+        grids = [target.generate(case_rng(1234, t))["times"] for t in range(60)]
+        assert any(len(g) > 1 and g != sorted(g) for g in grids)
+        assert any(len(set(g)) < len(g) or 0.0 in g for g in grids)
+
+    def test_real_solver_passes_deep_tail_case(self):
+        assert get_target("markov-transient").check(DEEP_TAIL_CASE) is None
+
+    def test_step_by_t_instead_of_dt_is_caught(self, monkeypatch):
+        from repro.markov import solvers
+
+        wrong = _stepped_solver(
+            lambda rates, p, t, t_prev: solvers.uniformization_propagate(rates, p, t)
+        )
+        monkeypatch.setattr(solvers, "transient_uniformization", wrong)
+        target = get_target("markov-transient")
+        assert target.check(DEEP_TAIL_CASE) is not None
+        caught = sum(
+            target.check(target.generate(case_rng(1234, t))) is not None
+            for t in range(20)
+        )
+        assert caught > 0
+
+    def test_deep_tail_only_error_is_caught_relatively(self, monkeypatch):
+        """A per-step truncation that drops only the 1e-33 absorbing mass
+        passes every absolute gate; the from-zero comparison catches it."""
+        from repro.markov import solvers
+
+        truncated = _stepped_solver(
+            lambda rates, p, t, t_prev: solvers.uniformization_propagate(
+                rates, p, t - t_prev, rtol=1e-3, min_terms=1
+            )
+        )
+        monkeypatch.setattr(solvers, "transient_uniformization", truncated)
+        mismatch = get_target("markov-transient").check(DEEP_TAIL_CASE)
+        assert mismatch is not None
+        assert mismatch.description == "stepped and from-zero uniformization diverge"
+        assert mismatch.detail["stepped"] < mismatch.detail["from_zero"]
