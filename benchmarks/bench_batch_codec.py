@@ -25,7 +25,7 @@ def make_inputs():
     clean = codec.encode_batch(data)
     noisy = clean.copy()
     # one random symbol error in every word: worst case for the batch
-    # layer (100% scalar fallback), bounds the fallback overhead.
+    # layer (every word dirty), measures the vectorized dirty-word decoder.
     rows = np.arange(BATCH)
     cols = rng.integers(0, N, size=BATCH)
     noisy[rows, cols] ^= rng.integers(1, code.gf.order, size=BATCH)
@@ -69,7 +69,7 @@ def test_clean_decode_speedup(benchmark, save_table):
             f"{speedup:.1f}x",
         ],
         [
-            "decode, 1 error/word (100% fallback)",
+            "decode, 1 error/word (100% dirty)",
             f"{BATCH / t_noisy_scalar:,.0f}",
             f"{BATCH / t_noisy_batch:,.0f}",
             f"{noisy_speedup:.1f}x",
@@ -90,7 +90,7 @@ def test_clean_decode_speedup(benchmark, save_table):
         f"clean-word batch decode only {speedup:.1f}x faster than scalar"
     )
     assert enc_speedup > 1.0
-    # the fallback path must not cost materially more than scalar decoding
+    # the dirty-word decoder must not cost materially more than scalar decoding
     assert noisy_speedup > 0.5
 
 

@@ -51,9 +51,11 @@ class PerfCounters:
     words_decoded: words submitted to ``decode_batch``.
     clean_fast_path: decoded words that took the all-zero-syndrome
         vectorized early-out.
-    scalar_fallbacks: decoded words routed to the scalar
-        errors-and-erasures pipeline (dirty words).
-    decode_failures: words the scalar fallback reported uncorrectable.
+    scalar_fallbacks: dirty decoded words — those not proved clean,
+        which the engine's errors-and-erasures decoder handled (the name
+        predates the vectorized decoder and is kept because chunk
+        counter dicts are journaled).
+    decode_failures: dirty words the decoder reported uncorrectable.
     trials: Monte-Carlo trials completed.
     chunks: Monte-Carlo chunks processed.
     elapsed_seconds: true wall-clock time, measured by the
@@ -156,7 +158,7 @@ class PerfCounters:
 
     @property
     def fallback_rate(self) -> float:
-        """Fraction of decoded words that needed the scalar pipeline."""
+        """Fraction of decoded words that were dirty (not proved clean)."""
         if self.words_decoded <= 0:
             return 0.0
         return self.scalar_fallbacks / self.words_decoded
@@ -190,7 +192,7 @@ class PerfCounters:
             f"words encoded      : {self.words_encoded}",
             f"words decoded      : {self.words_decoded}",
             f"clean fast path    : {self.clean_fast_path}",
-            f"scalar fallbacks   : {self.scalar_fallbacks} "
+            f"dirty words        : {self.scalar_fallbacks} "
             f"({100.0 * self.fallback_rate:.1f}%)",
             f"decode failures    : {self.decode_failures}",
             f"elapsed (wall)     : {self.elapsed_seconds:.3f} s",

@@ -3,25 +3,30 @@
 Every engine implements the same :class:`~repro.rs.batch.BatchRSCodec`
 contract — ``encode_batch`` / ``syndromes_batch`` / ``decode_batch``
 plus the single-word ``encode`` / ``decode`` passthroughs — and differs
-*only* in how the two hot kernels (systematic LFSR parity, Horner
-syndromes) are executed:
+*only* in how the three kernel hooks (systematic LFSR parity, Horner
+syndromes, dirty-word decoding) are executed:
 
 ========  ==================================================================
 engine    kernels
 ========  ==================================================================
-scalar    per-row loops over the pure-python codec (always available; the
-          reference floor of the capability matrix)
-numpy     vectorized table-lookup GF arithmetic (always available; the
-          pre-registry default)
-compiled  bit-sliced masked-XOR kernels over per-field codegen'd planes,
-          numba-jitted; available without numba only when
+scalar    per-row loops over the pure-python codec; dirty words decoded one
+          at a time by ``RSCode.decode`` (always available; the reference
+          floor of the capability matrix and the oracle of the others)
+numpy     vectorized table-lookup GF arithmetic and the vectorized
+          Berlekamp-Massey/Chien/Forney dirty-word decoder (always
+          available; the pre-registry default)
+compiled  bit-sliced masked-XOR encode/syndrome kernels over per-field
+          codegen'd planes, numba-jitted, plus the numpy dirty-word
+          decoder; available without numba only when
           ``REPRO_COMPILED_KERNELS=python`` forces the numpy forms
 ========  ==================================================================
 
-Because all three share the harness (validation, clean-word fast path,
-one scalar errors-and-erasures pipeline for dirty words), their results
-are bit-identical; the conformance suite and the ``rs-compiled-*``
-differential-fuzz targets enforce that continuously.
+All three share the harness (validation, clean-word fast path,
+counters, lazily built results), and every hook computes exact field
+arithmetic, so their results are bit-identical word for word — every
+correction, miscorrection and error message included; the conformance
+suite and the ``rs-batch-scalar`` / ``rs-compiled-*`` differential-fuzz
+targets enforce that continuously.
 
 The engine axis is an **execution hint**, like ``workers``: it never
 changes results, so :func:`canonical_engine` collapses it to the
@@ -121,7 +126,6 @@ def create_backend(
     k: int,
     m: int = 8,
     fcr: int = 1,
-    key_solver: str = "bm",
     scalar: Optional[RSCode] = None,
     counters: Optional[PerfCounters] = None,
 ) -> BatchRSCodec:
@@ -133,14 +137,14 @@ def create_backend(
     """
     if name in ("numpy", "batch"):
         return BatchRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters,
         )
     if name == "scalar":
         from .scalar import ScalarRSCodec
 
         return ScalarRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters,
         )
     if name == "compiled":
@@ -150,7 +154,7 @@ def create_backend(
         from .compiled import CompiledRSCodec
 
         return CompiledRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters, kernels=mode,
         )
     raise ValueError(

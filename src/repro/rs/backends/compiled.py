@@ -1,8 +1,9 @@
 """The ``compiled`` engine: numba-jitted bit-sliced GF(2^m) kernels.
 
 :class:`CompiledRSCodec` keeps the shared batch harness (validation,
-clean fast path, scalar fallback — see :class:`~repro.rs.batch.BatchRSCodec`)
-and replaces both kernel hooks with the bit-sliced forms of
+clean fast path, the vectorized dirty-word decoder — see
+:class:`~repro.rs.batch.BatchRSCodec`) and replaces the encode and
+syndrome kernel hooks with the bit-sliced forms of
 :mod:`repro.rs.backends.kernels`, driven by per-field plane tables from
 :mod:`repro.rs.backends.gf_tables`.
 
@@ -19,8 +20,9 @@ Capability is probed, never assumed:
   compiled algorithm is fuzzed nightly even where numba is absent.
 
 Whatever the mode, results are bit-identical to the numpy and scalar
-engines: the kernels compute exact field arithmetic and all dirty-word
-decoding goes through the one shared scalar pipeline.
+engines: the kernels compute exact field arithmetic and dirty words go
+through the numpy engine's vectorized decoder, whose corrections are
+verified with this engine's syndrome kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class CompiledRSCodec(BatchRSCodec):
         k: int,
         m: int = 8,
         fcr: int = 1,
-        key_solver: str = "bm",
         scalar: Optional[RSCode] = None,
         counters: Optional[PerfCounters] = None,
         kernels: str = "numba",
@@ -60,7 +61,6 @@ class CompiledRSCodec(BatchRSCodec):
             k,
             m=m,
             fcr=fcr,
-            key_solver=key_solver,
             scalar=scalar,
             counters=counters,
         )

@@ -1,4 +1,4 @@
-"""Batch Reed-Solomon codec: vectorized encode + syndrome-gated decode.
+"""Batch Reed-Solomon codec: vectorized encode and vectorized decode.
 
 :class:`BatchRSCodec` processes whole ``(B, k)``/``(B, n)`` ndarrays of
 words through the same RS(n, k) code as the scalar :class:`~repro.rs.codec.RSCode`,
@@ -11,47 +11,44 @@ with a strict bit-identity contract enforced by the differential suite in
 * ``decode_batch`` computes all syndromes in one vectorized Horner pass
   (:meth:`~repro.gf.batch.BatchGF.poly_eval_batch`).  Words whose
   syndromes are all zero take the *clean fast path*: they are returned
-  immediately with the exact :class:`~repro.rs.codec.DecodeResult` the
-  scalar decoder would produce.  Dirty words — and only dirty words —
-  fall back to the trusted scalar errors-and-erasures pipeline, so every
-  correction, every mis-correction and every
-  :class:`~repro.rs.codec.RSDecodingError` is produced by the same code
-  path the rest of the repo validates against the paper.
+  with the exact :class:`~repro.rs.codec.DecodeResult` the scalar
+  decoder would produce.  Dirty words go, all at once, through the
+  vectorized errors-and-erasures decoder of :mod:`repro.rs.batch_decode`
+  (Berlekamp-Massey, Chien, Forney over the batch syndromes), which
+  follows ``RSCode.decode`` step for step: every correction, every
+  mis-correction and every :class:`~repro.rs.codec.RSDecodingError`
+  message is the one the scalar decoder produces for that word.
 
-That split is the performance contract of the whole batch layer: in the
-memory-reliability regimes of the paper almost every stored word is
-clean at read time, so the hot loop is "compute syndromes, prove the
-word clean" — which vectorizes perfectly — while the rare dirty word
-pays the scalar price it always paid.
+The scalar codec stays the oracle: the ``scalar`` engine decodes dirty
+words one at a time through ``RSCode.decode``, and the differential
+suite, the conformance suite and the ``rs-batch-scalar`` verify target
+compare the vectorized decoder against it word for word.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..gf.batch import BatchGF, batch_field
 from ..perf import PerfCounters
+from .batch_decode import WordOutcome, decode_errata_batch
 from .codec import DecodeResult, RSCode, RSDecodingError
-
-#: A per-word decode outcome: the scalar result, or the decoding error
-#: the scalar pipeline raised for that word.
-WordOutcome = Union[DecodeResult, RSDecodingError]
 
 
 class BatchDecodeReport:
     """Outcome of one ``decode_batch`` call.
 
-    Clean words (all syndromes zero) are *proved* clean during
-    ``decode_batch`` but their :class:`DecodeResult` objects are built
-    lazily on first access — proving a 4096-word batch clean is a pure
-    array operation, and most bulk consumers (the Monte-Carlo engine,
-    throughput benchmarks) never need per-word result objects for clean
-    words.  Dirty words were decoded eagerly by the scalar pipeline; the
-    laziness never changes *what* any index returns, only when the clean
-    words' result objects get allocated.
+    Per-word result objects are built lazily, on first access.  Clean
+    words (all syndromes zero) are *proved* clean during
+    ``decode_batch``; dirty words are decoded there into arrays (the
+    corrected codewords, error counts, corrected positions and failure
+    classes).  Most bulk consumers (the Monte-Carlo engine, throughput
+    benchmarks) never need a :class:`DecodeResult` for most words; the
+    laziness never changes *what* any index returns, only when its
+    result object gets allocated.
 
     Attributes
     ----------
@@ -69,20 +66,26 @@ class BatchDecodeReport:
         clean: np.ndarray,
         received: np.ndarray,
         erasure_counts: List[int],
-        fallback: dict,
+        dirty_index: np.ndarray,
+        dirty: Sequence[WordOutcome],
         nsym: int,
     ):
         self.ok = ok
         self.clean = clean
         self._received = received
         self._erasure_counts = erasure_counts
-        self._fallback = fallback
+        # Word index -> slot in ``dirty`` (-1 for clean words).
+        slots = np.full(len(ok), -1, dtype=np.int64)
+        slots[dirty_index] = np.arange(len(dirty_index))
+        self._slot = slots.tolist()
+        self._dirty = dirty
         self._nsym = nsym
         self._results: Optional[List[WordOutcome]] = None
 
     def _materialize(self, idx: int) -> WordOutcome:
-        if idx in self._fallback:
-            return self._fallback[idx]
+        slot = self._slot[idx]
+        if slot >= 0:
+            return self._dirty[slot]
         row = self._received[idx].tolist()
         return DecodeResult(
             data=row[self._nsym :],
@@ -144,21 +147,25 @@ class BatchRSCodec:
     """Batch-mode systematic RS(n, k) codec over GF(2^m).
 
     Parameters mirror :class:`RSCode`; a prebuilt scalar codec may be
-    supplied to guarantee both views share one generator/field.  An
+    supplied to guarantee both views share one generator/field.  The
+    batch layer decodes with Berlekamp-Massey only: a supplied scalar
+    codec configured with ``key_solver="euclid"`` is rejected.  An
     optional :class:`~repro.perf.PerfCounters` records words encoded,
-    words decoded, fast-path hits, scalar fallbacks, and kernel busy
-    time (``kernel_seconds``).
+    words decoded, fast-path hits, dirty words (``scalar_fallbacks``),
+    uncorrectable words, and kernel busy time (``kernel_seconds``).
 
     This class is also the ``numpy`` engine of the backend registry
-    (:mod:`repro.rs.backends`).  The *validation, counter, fast-path and
-    scalar-fallback logic* lives here and is shared by every engine;
-    subclasses override only the two kernel hooks —
-    :meth:`_parity_kernel` and :meth:`_syndromes_kernel` — with their
-    own arithmetic (pure-python loops for the ``scalar`` engine,
-    bit-sliced jitted kernels for ``compiled``).  Because both hooks
-    compute exact field arithmetic, every engine is bit-identical by
-    construction; the conformance suite and the ``rs-compiled-*``
-    differential targets enforce it.
+    (:mod:`repro.rs.backends`).  The *validation, counter and fast-path
+    logic* lives here and is shared by every engine; subclasses override
+    only the kernel hooks — :meth:`_parity_kernel`,
+    :meth:`_syndromes_kernel` and :meth:`_decode_dirty` — with their own
+    arithmetic (pure-python loops and the per-word ``RSCode.decode`` for
+    the ``scalar`` engine, bit-sliced jitted encode/syndrome kernels for
+    ``compiled``, which shares this class's vectorized dirty-word
+    decoder).  Because every hook computes exact field arithmetic, every
+    engine is bit-identical by construction; the conformance suite and
+    the ``rs-batch-scalar`` / ``rs-compiled-*`` differential targets
+    enforce it.
     """
 
     #: Registry name of this engine; subclasses override.
@@ -170,16 +177,20 @@ class BatchRSCodec:
         k: int,
         m: int = 8,
         fcr: int = 1,
-        key_solver: str = "bm",
         scalar: Optional[RSCode] = None,
         counters: Optional[PerfCounters] = None,
     ):
         if scalar is None:
-            scalar = RSCode(n, k, m=m, fcr=fcr, key_solver=key_solver)
+            scalar = RSCode(n, k, m=m, fcr=fcr)
         elif (scalar.n, scalar.k, scalar.m, scalar.fcr) != (n, k, m, fcr):
             raise ValueError(
                 f"supplied scalar codec {scalar!r} does not match "
                 f"(n={n}, k={k}, m={m}, fcr={fcr})"
+            )
+        elif scalar.key_solver != "bm":
+            raise ValueError(
+                f"the batch codec decodes with Berlekamp-Massey only; the "
+                f"supplied scalar codec uses key_solver={scalar.key_solver!r}"
             )
         self.scalar = scalar
         self.n = n
@@ -197,6 +208,8 @@ class BatchRSCodec:
         self._synd_points = np.asarray(
             [scalar.gf.exp(fcr + j) for j in range(self.nsym)], dtype=np.int64
         )
+        # Chien search points alpha^{-p} for every codeword position p.
+        self._chien_points = self.bgf.exp(-np.arange(n))
 
     # -- kernel hooks --------------------------------------------------------
 
@@ -222,6 +235,31 @@ class BatchRSCodec:
     def _syndromes_kernel(self, rec: np.ndarray) -> np.ndarray:
         """``(B, nsym)`` syndromes of a validated ``(B, n)`` batch."""
         return self.bgf.poly_eval_batch(rec, self._synd_points)
+
+    def _decode_dirty(
+        self,
+        rec: np.ndarray,
+        syndromes: np.ndarray,
+        erasures: List[List[int]],
+    ) -> Sequence[WordOutcome]:
+        """Per-word outcomes of the dirty words of a batch.
+
+        ``rec`` holds the ``(D, n)`` words that are not proved clean,
+        ``syndromes`` their batch syndromes and ``erasures`` their sorted,
+        duplicate-free erasure positions.  The result is index-aligned
+        with ``rec`` and carries an ``ok`` mask.  The numpy engine runs
+        the vectorized errors-and-erasures decoder across all ``D``
+        words at once, verifying corrections with :meth:`_syndromes_kernel`.
+        """
+        return decode_errata_batch(
+            self.bgf,
+            rec,
+            syndromes,
+            erasures,
+            self.fcr,
+            self._chien_points,
+            lambda rows: self._timed_kernel(self._syndromes_kernel, rows),
+        )
 
     def _timed_kernel(self, kernel, *args) -> np.ndarray:
         """Run a kernel hook, accounting busy time to ``kernel_seconds``."""
@@ -315,7 +353,8 @@ class BatchRSCodec:
                 clean=empty,
                 received=rec,
                 erasure_counts=[],
-                fallback={},
+                dirty_index=np.zeros(0, dtype=np.int64),
+                dirty=(),
                 nsym=self.nsym,
             )
 
@@ -327,40 +366,39 @@ class BatchRSCodec:
         for ers in erasures:
             if any(not 0 <= p < self.n for p in ers):
                 raise ValueError("erasure position out of range")
+        erasure_counts = [len(e) for e in erasures]
 
         syndromes = self.syndromes_batch(rec)
         clean = np.all(syndromes == 0, axis=1)
         # The scalar decoder rejects rho > nsym before looking at the
         # syndromes, so over-erased words can never take the fast path.
-        over_erased = np.asarray(
-            [len(ers) > self.nsym for ers in erasures], dtype=bool
-        )
-        clean &= ~over_erased
+        clean &= np.asarray(erasure_counts) <= self.nsym
 
         # Clean words are proved clean here and materialized lazily by
-        # the report; only dirty words run the scalar pipeline now.
+        # the report; dirty words are decoded together by the engine.
         ok = clean.copy()
-        fallback: dict = {}
-        for i in np.flatnonzero(~clean):
-            try:
-                fallback[int(i)] = self.scalar.decode(
-                    rec[i].tolist(), erasure_positions=erasures[i]
-                )
-                ok[i] = True
-            except RSDecodingError as exc:
-                fallback[int(i)] = exc
+        dirty_index = np.flatnonzero(~clean)
+        dirty: Sequence[WordOutcome] = ()
+        if dirty_index.size:
+            dirty = self._decode_dirty(
+                rec[dirty_index],
+                syndromes[dirty_index],
+                [erasures[i] for i in dirty_index],
+            )
+            ok[dirty_index] = dirty.ok
 
         if self.counters is not None:
             self.counters.words_decoded += B
             self.counters.clean_fast_path += int(clean.sum())
-            self.counters.scalar_fallbacks += int((~clean).sum())
+            self.counters.scalar_fallbacks += int(dirty_index.size)
             self.counters.decode_failures += B - int(ok.sum())
         return BatchDecodeReport(
             ok=ok,
             clean=clean,
             received=rec,
-            erasure_counts=[len(e) for e in erasures],
-            fallback=fallback,
+            erasure_counts=erasure_counts,
+            dirty_index=dirty_index,
+            dirty=dirty,
             nsym=self.nsym,
         )
 
@@ -377,9 +415,9 @@ class BatchRSCodec:
     ) -> DecodeResult:
         """Full errors-and-erasures decode of one word.
 
-        Every engine shares the scalar errors-and-erasures pipeline for
-        single words — the same code path dirty batch words fall back
-        to — so per-word semantics are engine-invariant by construction.
+        Every engine decodes single words with the scalar
+        errors-and-erasures pipeline — the oracle the vectorized
+        dirty-word decoder is checked against word for word.
         """
         return self.scalar.decode(received, erasure_positions=erasure_positions)
 

@@ -24,7 +24,8 @@ target                    layers                   compares
                                                    exhaustive minimum-distance oracle
                                                    (+ syndrome-table oracle where feasible)
 ``rs-solver-parity``      rs                       Berlekamp-Massey vs Euclid key solvers
-``rs-batch-scalar``       gf, rs                   batch codec vs scalar codec, word for word
+``rs-batch-scalar``       gf, rs                   batch codec (vectorized dirty-word decoder)
+                                                   vs scalar codec, word for word
 ``rs-compiled-scalar``    gf, rs                   compiled (bit-sliced codegen) backend vs
                                                    scalar codec, word for word
 ``rs-compiled-batch``     gf, rs                   compiled backend vs numpy batch codec:
@@ -442,12 +443,23 @@ def _check_rs_solver_parity(case: Case) -> Optional[Mismatch]:
     return None
 
 
+#: Largest batch :func:`_gen_rs_batch_case` draws.
+_MAX_BATCH_WORDS = 32
+
+
 def _gen_rs_batch_case(rng: np.random.Generator) -> Case:
-    """A small batch of codec cases sharing one configuration."""
+    """A batch of 1-32 codec cases sharing one configuration.
+
+    Every word draws its own capacity stratum, so one batch mixes clean,
+    correctable, at-capacity, beyond-capacity and over-erased words with
+    different erasure counts: the vectorized dirty-word decoder's
+    per-word erasure offsets and masked Berlekamp-Massey branches are
+    exercised side by side in one call.
+    """
     first = gen.gen_codec_case(rng, configs=gen.FULL_CONFIGS)
     n, k, m = first["n"], first["k"], first["m"]
     words = [first]
-    for _ in range(int(rng.integers(0, 5))):
+    for _ in range(int(rng.integers(0, _MAX_BATCH_WORDS))):
         words.append(
             gen.gen_codec_case(rng, configs=[(n, k, m)])
         )

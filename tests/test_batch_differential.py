@@ -474,3 +474,162 @@ class TestSyndromeOverflowRegression:
         assert report.ok.all() and report.clean.all()
         for i in range(len(codewords)):
             assert report[i].codeword == codewords[i].astype(int).tolist()
+
+
+#: (n, k, m, fcr) of the large mixed-batch differential: the paper's
+#: RS(18,16) and RS(36,16), a full-length byte code, and two narrow
+#: fields with non-default first consecutive roots.
+MIXED_CODES = [
+    (18, 16, 8, 1),
+    (36, 16, 8, 1),
+    (255, 223, 8, 1),
+    (15, 9, 4, 0),
+    (31, 25, 5, 3),
+]
+
+#: Failure classes the Berlekamp-Massey decoder can reach.  (A vanishing
+#: Forney denominator cannot follow a matching Chien root count: n
+#: distinct roots make the derivative nonzero at each of them.)
+REACHABLE_FAILURES = {
+    "over-erased": "erasures exceed correction capability",
+    "capability": "error locator degree",
+    "root-count": "errata locator of degree",
+    "post-syndromes": "post-correction syndromes nonzero",
+}
+
+
+def mixed_batch(code, rng, words):
+    """Words cycling through every stratum, erasure counts mixed freely."""
+    nsym, t, n = code.nsym, code.t, code.n
+
+    def mix(stratum):
+        if stratum == "clean":
+            return 0, 0
+        if stratum == "below":
+            re = int(rng.integers(0, t + 1))
+            return re, int(rng.integers(0, max(1, nsym - 2 * re)))
+        if stratum == "at":
+            re = int(rng.integers(0, t + 1))
+            return re, nsym - 2 * re
+        if stratum == "erasure-only":
+            return 0, int(rng.integers(1, nsym + 1))
+        if stratum == "over-erased":
+            return 0, min(n, nsym + int(rng.integers(1, 3)))
+        budget = nsym + int(rng.integers(1, 4))  # beyond
+        re = int(rng.integers(0, budget // 2 + 1))
+        return re, min(budget - 2 * re, nsym)
+
+    strata = ["clean", "below", "at", "beyond", "beyond", "erasure-only",
+              "over-erased"]
+    data = rng.integers(0, code.gf.order, size=(words, code.k))
+    received, erasures = [], []
+    for i, row in enumerate(data):
+        re, er = mix(strata[i % len(strata)])
+        word = code.encode(row.tolist())
+        positions = rng.choice(n, size=min(n, re + er), replace=False)
+        for p in positions:
+            # ~1 in 8 faults is benign: flagged or hit, value unchanged.
+            if rng.random() >= 0.125:
+                word[p] ^= int(rng.integers(1, code.gf.order))
+        received.append(word)
+        erasures.append(sorted(int(p) for p in positions[re:]))
+    return data, np.asarray(received), erasures
+
+
+@pytest.fixture(
+    scope="module",
+    params=MIXED_CODES,
+    ids=lambda c: f"RS({c[0]},{c[1]})m{c[2]}fcr{c[3]}",
+)
+def mixed_decode(request):
+    """One large mixed batch per code, decoded by batch and scalar."""
+    n, k, m, fcr = request.param
+    scalar = RSCode(n, k, m=m, fcr=fcr)
+    counters = PerfCounters()
+    batch = BatchRSCodec(n, k, m=m, fcr=fcr, scalar=scalar, counters=counters)
+    rng = np.random.default_rng(1000 + n + fcr)
+    data, received, erasures = mixed_batch(scalar, rng, 700 if n > 100 else 2100)
+    report = batch.decode_batch(received, erasures)
+    expected = []
+    for word, ers in zip(received, erasures):
+        try:
+            expected.append(scalar.decode(word.tolist(), erasure_positions=ers))
+        except RSDecodingError as exc:
+            expected.append(exc)
+    return data, report, expected, counters
+
+
+class TestVectorizedDecodeLargeMixedBatch:
+    """The vectorized dirty-word decoder against ``RSCode.decode``."""
+
+    def test_word_for_word_identical(self, mixed_decode):
+        _data, report, expected, _counters = mixed_decode
+        for i, scalar_outcome in enumerate(expected):
+            def replay(outcome=scalar_outcome):
+                if isinstance(outcome, RSDecodingError):
+                    raise outcome
+                return outcome
+
+            assert_same_result(report[i], replay)
+        assert report.ok.tolist() == [
+            not isinstance(e, RSDecodingError) for e in expected
+        ]
+
+    def test_batch_covers_every_stratum(self, mixed_decode):
+        data, report, expected, _counters = mixed_decode
+        decoded = [e for e in expected if not isinstance(e, RSDecodingError)]
+        assert report.clean.any()
+        assert any(e.corrected and e.num_errors for e in decoded)
+        assert any(e.num_erasures and not e.num_errors for e in decoded)
+        miscorrected = [
+            i for i, e in enumerate(expected)
+            if not isinstance(e, RSDecodingError)
+            and e.data != data[i].tolist()
+        ]
+        assert miscorrected, "no miscorrection in the batch"
+        messages = {str(e) for e in expected if isinstance(e, RSDecodingError)}
+        for name in ("over-erased", "capability", "root-count"):
+            fragment = REACHABLE_FAILURES[name]
+            assert any(fragment in msg for msg in messages), name
+
+    def test_counters_count_dirty_and_failed_words(self, mixed_decode):
+        _data, report, _expected, counters = mixed_decode
+        assert counters.words_decoded == len(report)
+        assert counters.clean_fast_path == int(report.clean.sum())
+        assert counters.scalar_fallbacks == int((~report.clean).sum())
+        assert counters.decode_failures == int((~report.ok).sum())
+
+
+def test_mixed_batches_reach_every_failure_class():
+    """Across the codes, every reachable error message occurs and matches."""
+    seen = set()
+    for n, k, m, fcr in MIXED_CODES:
+        scalar = RSCode(n, k, m=m, fcr=fcr)
+        batch = BatchRSCodec(n, k, m=m, fcr=fcr, scalar=scalar)
+        rng = np.random.default_rng(2000 + n + fcr)
+        _data, received, erasures = mixed_batch(scalar, rng, 350 if n > 100 else 1400)
+        report = batch.decode_batch(received, erasures)
+        for i in np.flatnonzero(~report.ok):
+            with pytest.raises(RSDecodingError) as exc:
+                scalar.decode(received[i].tolist(), erasure_positions=erasures[i])
+            assert str(report[i]) == str(exc.value)
+            seen |= {
+                name for name, fragment in REACHABLE_FAILURES.items()
+                if fragment in str(exc.value)
+            }
+    assert seen == set(REACHABLE_FAILURES)
+
+
+class TestBatchLayerIsBerlekampMasseyOnly:
+    def test_euclid_scalar_codec_rejected(self):
+        with pytest.raises(ValueError, match="Berlekamp-Massey"):
+            BatchRSCodec(18, 16, m=8, scalar=RSCode(18, 16, key_solver="euclid"))
+
+    def test_backends_reject_euclid_scalar_codec(self):
+        from repro.rs.backends import create_backend
+
+        for name in ("numpy", "scalar"):
+            with pytest.raises(ValueError, match="Berlekamp-Massey"):
+                create_backend(
+                    name, 18, 16, scalar=RSCode(18, 16, key_solver="euclid")
+                )

@@ -28,14 +28,14 @@ class TestAnalyticVsCTMC:
         model = simplex_model(18, 16, seu_per_bit_day=lam)
         an = simplex_fail_probability(model, TIMES_48H)
         uni = model.fail_probability(TIMES_48H)
-        assert np.allclose(an, uni, rtol=1e-10)
+        assert np.allclose(an, uni, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("lam", SEU_RATES_PER_BIT_DAY)
     def test_duplex_transient_all_paper_rates(self, lam):
         model = duplex_model(18, 16, seu_per_bit_day=lam)
         an = duplex_fail_probability(model, TIMES_48H)
         uni = model.fail_probability(TIMES_48H)
-        assert np.allclose(an, uni, rtol=1e-10)
+        assert np.allclose(an, uni, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("rate", [1e-4, 1e-6, 1e-8, 1e-10])
     def test_simplex_permanent_deep_tails(self, rate):
@@ -43,7 +43,7 @@ class TestAnalyticVsCTMC:
         an = simplex_fail_probability(model, MONTHS_24)
         uni = model.fail_probability(MONTHS_24)
         mask = an > 1e-290  # above the double-precision floor
-        assert np.allclose(an[mask], uni[mask], rtol=1e-9)
+        assert np.allclose(an[mask], uni[mask], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("rate", [1e-4, 1e-6, 1e-8])
     def test_duplex_permanent_deep_tails(self, rate):
@@ -51,14 +51,14 @@ class TestAnalyticVsCTMC:
         an = duplex_fail_probability(model, MONTHS_24)
         uni = model.fail_probability(MONTHS_24)
         mask = an > 1e-290
-        assert np.allclose(an[mask], uni[mask], rtol=1e-9)
+        assert np.allclose(an[mask], uni[mask], rtol=1e-9, atol=0)
 
     def test_rs3616_permanent_deep_tail(self):
         model = simplex_model(36, 16, erasure_per_symbol_day=1e-6)
         an = simplex_fail_probability(model, MONTHS_24)
         uni = model.fail_probability(MONTHS_24)
         mask = an > 1e-290
-        assert np.allclose(an[mask], uni[mask], rtol=1e-9)
+        assert np.allclose(an[mask], uni[mask], rtol=1e-9, atol=0)
 
 
 class TestSolverTriangle:

@@ -218,3 +218,61 @@ class TestMarkovTransientStepping:
         assert mismatch is not None
         assert mismatch.description == "stepped and from-zero uniformization diverge"
         assert mismatch.detail["stepped"] < mismatch.detail["from_zero"]
+
+
+def _mutant(module, name, old, new):
+    """``module.name`` recompiled with one source fragment replaced."""
+    import inspect
+    import textwrap
+
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"mutation site {old!r} not found once"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+class TestBatchScalarCatchesBrokenBerlekampMassey:
+    """rs-batch-scalar must catch a broken vectorized Berlekamp-Massey.
+
+    The batch codec decodes dirty words with its own vectorized decoder,
+    so the target compares two independent implementations; these
+    mutants of the decoder's Berlekamp-Massey loop must be detected on
+    generated cases and shrunk to a smaller repro.
+    """
+
+    MUTATIONS = {
+        "length-update": (
+            "np.where(change, r + 1 - length, length)",
+            "np.where(change, r - length, length)",
+        ),
+        "shift-off-by-one": (
+            "np.where(change, 1, shift + 1)",
+            "np.where(change, 0, shift + 1)",
+        ),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutant_is_caught_and_shrunk(self, monkeypatch, mutation):
+        from repro.rs import batch_decode
+        from repro.verify.harness import fuzz_target
+
+        old, new = self.MUTATIONS[mutation]
+        monkeypatch.setattr(
+            batch_decode,
+            "_berlekamp_massey",
+            _mutant(batch_decode, "_berlekamp_massey", old, new),
+        )
+        target = get_target("rs-batch-scalar")
+        report = fuzz_target(target, seed=1, max_trials=40)
+        assert report.failed, f"{mutation} survived 40 trials"
+        assert report.mismatch.description.startswith("batch")
+        shrunk, original = report.shrunk_case, report.case
+        assert report.shrink_steps > 0
+        assert len(shrunk["words"]) < len(original["words"])
+        assert target.check(shrunk) is not None
+
+    def test_unmutated_decoder_passes_the_same_trials(self):
+        from repro.verify.harness import fuzz_target
+
+        assert not fuzz_target("rs-batch-scalar", seed=1, max_trials=40).failed
