@@ -21,38 +21,36 @@ See ``examples/`` for full walkthroughs and ``benchmarks/`` for the
 figure-by-figure reproduction.
 """
 
-from . import analysis, gf, markov, memory, obs, reliability, rs, runtime, simulator
-from .gf import GF2m
-from .markov import CTMC, build_chain
-from .memory import (
-    BERCurve,
-    DuplexMarkovModel,
-    FaultRates,
-    SimplexMarkovModel,
-    ber_curve,
-    duplex_model,
-    simplex_model,
-)
-from .rs import RSCode, RSDecodingError
-from .simulator import DuplexSystem, SimplexSystem
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GF2m",
-    "RSCode",
-    "RSDecodingError",
-    "CTMC",
-    "build_chain",
-    "FaultRates",
-    "SimplexMarkovModel",
-    "DuplexMarkovModel",
-    "simplex_model",
-    "duplex_model",
-    "BERCurve",
-    "ber_curve",
-    "SimplexSystem",
-    "DuplexSystem",
+# Subpackages and re-exports load on first use, so importing the package
+# (or repro.cli) pulls in neither scipy nor the layers a command skips.
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "gf": ("GF2m",),
+        "rs": ("RSCode", "RSDecodingError"),
+        "markov": ("CTMC", "build_chain"),
+        "memory": (
+            "FaultRates",
+            "SimplexMarkovModel",
+            "DuplexMarkovModel",
+            "simplex_model",
+            "duplex_model",
+            "BERCurve",
+            "ber_curve",
+        ),
+        "simulator": ("SimplexSystem", "DuplexSystem"),
+        "reliability": (),
+        "analysis": (),
+        "runtime": (),
+        "obs": (),
+    },
+)
+
+__all__ += [
     "gf",
     "rs",
     "markov",

@@ -11,9 +11,11 @@ without any external profiler.
 Time is accounted on two separate axes, because they mean different
 things under multiprocessing:
 
-* ``cpu_seconds`` — busy time measured *inside* each chunk executor,
-  wherever it ran.  Additive: merging per-worker counters sums it, and
-  with ``workers=N`` it can legitimately exceed wall clock N-fold.
+* ``cpu_seconds`` — CPU time of the thread running each chunk
+  (:func:`time.thread_time`), wherever it ran.  Additive: merging
+  per-worker counters sums it, and with ``workers=N`` it can exceed wall
+  clock up to N-fold.  Time a chunk spends waiting — for a core on an
+  oversubscribed host, or asleep — is not counted.
 * ``elapsed_seconds`` — true wall-clock time, measured once by the
   coordinator's :class:`Stopwatch`.  **Not** additive: :meth:`PerfCounters.merge`
   deliberately leaves it alone, because summing per-worker elapsed time
@@ -61,11 +63,12 @@ class PerfCounters:
     elapsed_seconds: true wall-clock time, measured by the
         *coordinator's* :class:`Stopwatch`.  Excluded from :meth:`merge`
         (wall time is not additive across workers).
-    cpu_seconds: busy time accumulated *inside* chunk executors;
-        additive across workers and can exceed ``elapsed_seconds``
+    cpu_seconds: thread CPU time of the chunk bodies, wherever they
+        ran; additive across workers and can exceed ``elapsed_seconds``
         under multiprocessing.
-    kernel_seconds: busy time spent inside the RS backend's encode /
-        syndrome kernels specifically (a subset of ``cpu_seconds``).
+    kernel_seconds: wall time spent inside the RS backend's encode /
+        syndrome kernels specifically (roughly a subset of
+        ``cpu_seconds``).
         Additive; per-engine kernel time is this counter paired with
         the run's engine label (a campaign uses one engine throughout).
 
@@ -179,7 +182,13 @@ class PerfCounters:
 
     @property
     def parallel_speedup(self) -> float:
-        """``cpu_seconds / elapsed_seconds`` — effective busy workers."""
+        """``cpu_seconds / elapsed_seconds`` — cores kept busy by chunks.
+
+        Chunk CPU time per coordinator wall second.  Waiting is not
+        counted, so oversubscription or sleeping chunks lower it rather
+        than inflate it; it estimates, but is not measured against, the
+        speedup over a serial run of the same chunks.
+        """
         if self.elapsed_seconds <= 0:
             return 0.0
         return self.cpu_seconds / self.elapsed_seconds
@@ -263,7 +272,8 @@ class Stopwatch:
 
     ``attr`` selects the destination: the coordinator times true wall
     clock into ``elapsed_seconds`` (the default), while chunk executors
-    time their own busy interval into the additive ``cpu_seconds``.
+    time their own interval into the additive ``cpu_seconds`` with
+    :func:`time.thread_time` instead of this class.
 
     >>> counters = PerfCounters()
     >>> with Stopwatch(counters):

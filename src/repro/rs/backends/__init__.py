@@ -37,7 +37,7 @@ Capability is probed, never assumed (:func:`backend_info` carries an
 ``available`` flag plus the probe's reason string), selection of an
 unavailable engine raises :class:`BackendUnavailableError` loudly, and
 ``auto`` (prefer ``compiled``, fall back to ``numpy``) announces its
-fallback with a :class:`~repro.runtime.supervisor.ResilienceWarning`
+fallback with a :class:`~repro.resilience.ResilienceWarning`
 (once per process) and an ``engine_auto_fallback`` trace event.
 """
 
@@ -48,6 +48,7 @@ from typing import Optional, Tuple
 
 from ...obs import trace
 from ...perf import PerfCounters
+from ...resilience import ResilienceWarning
 from ..batch import BatchRSCodec
 from ..codec import RSCode
 from .errors import BackendUnavailableError
@@ -188,8 +189,6 @@ def auto_backend() -> str:
     if not _auto_fallback_warned:
         _auto_fallback_warned = True
         import warnings
-
-        from ...runtime.supervisor import ResilienceWarning
 
         warnings.warn(
             "--engine auto: compiled backend unavailable "

@@ -47,6 +47,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..resilience import ResilienceWarning
 from .integrity import (
     CHAIN_SEED,
     JournalLock,
@@ -94,15 +95,9 @@ def _observe_quarantine(count: int, path: Path) -> None:
     warnings.warn(
         f"journal {path}: quarantined {count} corrupt record(s) to "
         f"{path}.quarantine; the affected chunks will be recomputed",
-        _resilience_warning(),
+        ResilienceWarning,
         stacklevel=3,
     )
-
-
-def _resilience_warning():
-    from .supervisor import ResilienceWarning
-
-    return ResilienceWarning
 
 
 class CheckpointJournal:
@@ -443,7 +438,7 @@ class CheckpointJournal:
             f"journal {self.path}: write failed ({self.degraded_reason}); "
             "continuing in memory — the campaign will complete but its "
             "resumable state is lost",
-            _resilience_warning(),
+            ResilienceWarning,
             stacklevel=3,
         )
 

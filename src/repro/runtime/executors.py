@@ -35,6 +35,7 @@ and any completion order yields bit-identical estimates.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import gc
 import math
 import os
 import pickle
@@ -217,7 +218,14 @@ class PoolExecutor(Executor):
 
     def _ensure_pool(self) -> cf.ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = cf.ProcessPoolExecutor(max_workers=self._workers)
+            # Forked workers freeze the heap they inherit, so their cyclic
+            # collector never walks (and copy-on-write faults) the
+            # coordinator's objects.  The coordinator's heap is small
+            # (lazy imports), which otherwise makes those full
+            # collections frequent.
+            self._pool = cf.ProcessPoolExecutor(
+                max_workers=self._workers, initializer=gc.freeze
+            )
         return self._pool
 
     def submit(self, payload: tuple) -> int:

@@ -71,6 +71,7 @@ from typing import Any, Dict, List, Optional, Set, Union
 from ..ioutil import fsync_dir
 from ..obs import metrics as obs_metrics
 from ..obs import trace
+from ..resilience import ResilienceWarning
 from .chaos import CHAOS_EXIT_CODE, ChaosSpec
 from .executors import _CLAIM_POLL_S, _STOP_NAME, Completion, Executor, _supervised_call
 from .integrity import JournalLock, probe_lock
@@ -779,8 +780,6 @@ class FleetExecutor(Executor):
                 deadline_s=self._empty_deadline,
                 pending=len(self._epochs),
             )
-            from .supervisor import ResilienceWarning
-
             warnings.warn(
                 f"no fleet worker heartbeat within {self._empty_deadline:g}s "
                 f"on {self.board}; draining the remaining chunks in-process",

@@ -60,6 +60,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.progress import ProgressEvent, ProgressTracker
 from ..perf import PerfCounters
+from ..resilience import ResilienceWarning
 from .chaos import ChaosSpec
 from .executors import (
     ChunkState,
@@ -77,10 +78,6 @@ CHUNK_LATENCY_METRIC = "repro.mc.chunk_seconds"
 #: counters) — the engine-telemetry histogram surfaced by the service
 #: layer's ``/metrics``.
 CHUNK_KERNEL_METRIC = "repro.mc.chunk_kernel_seconds"
-
-
-class ResilienceWarning(UserWarning):
-    """Structured warning for retries, fallbacks, and degradation."""
 
 
 class ChunkFailedError(RuntimeError):

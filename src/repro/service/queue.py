@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace
+from ..resilience import ResilienceWarning
 from ..runtime.integrity import (
     CHAIN_SEED,
     JournalLock,
@@ -223,7 +224,7 @@ class JobQueue:
             f"queue journal {self.path}: write failed "
             f"({self.degraded_reason}); continuing in memory — submitted "
             "jobs will not survive a restart",
-            _resilience_warning(),
+            ResilienceWarning,
             stacklevel=4,
         )
 
@@ -303,9 +304,3 @@ class JobQueue:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _resilience_warning():
-    from ..runtime.supervisor import ResilienceWarning
-
-    return ResilienceWarning

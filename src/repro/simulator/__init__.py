@@ -17,132 +17,78 @@ Public surface:
 * :mod:`~repro.simulator.scenarios` — named, seeded campaign presets.
 """
 
-from .arbiter import (
-    ArbiterDecision,
-    ArbiterResult,
-    arbitrate,
-    decide_from_decodes,
-    recover_erasures,
-)
-from .campaign import (
-    FINGERPRINT_SCHEMA,
-    CampaignCell,
-    CampaignRow,
-    campaign_fingerprint,
-    campaign_summary,
-    canonical_fingerprint_json,
-    cell_model_probability,
-    default_validation_campaign,
-    fingerprint_digest,
-    run_campaign,
-    stopping_fingerprint,
-    upgrade_fingerprint,
-)
-from .controller import ControllerStats, simulate_controller
-from .faults import (
-    FaultEvent,
-    FaultKind,
-    event_sort_key,
-    merge_event_streams,
-    sample_permanent_events,
-    sample_seu_events,
-    scrub_schedule,
-    sort_events,
-)
-from .mbu import sample_mbu_strikes, simulate_mbu_read_unreliability
-from .montecarlo import (
-    FailureEstimate,
-    chunk_sizes,
-    gillespie_fail_probability,
-    simulate_fail_probability,
-    simulate_fail_probability_batched,
-    simulate_read_outcome,
-    spawn_chunk_seeds,
-    wilson_interval,
-)
-from .patterns import (
-    IID_1BIT,
-    FaultPattern,
-    PatternKind,
-    PatternTerm,
-    RateSchedule,
-    format_pattern,
-    format_schedule,
-    parse_pattern,
-    parse_schedule,
-    sample_pattern_events,
-)
-from .policies import ARBITER_POLICIES, compare_policies
-from .scenarios import (
-    SCENARIOS,
-    Scenario,
-    get_scenario,
-    render_catalog,
-    scenario_names,
-)
-from .systems import DuplexSystem, ReadOutcome, SimplexSystem
-from .voting import NMRSystem, simulate_nmr_read_unreliability
-from .word import MemoryWord
+from .._lazy import attach
 
-__all__ = [
-    "MemoryWord",
-    "FaultEvent",
-    "FaultKind",
-    "event_sort_key",
-    "sort_events",
-    "sample_seu_events",
-    "sample_permanent_events",
-    "scrub_schedule",
-    "merge_event_streams",
-    "PatternKind",
-    "PatternTerm",
-    "FaultPattern",
-    "RateSchedule",
-    "IID_1BIT",
-    "parse_pattern",
-    "format_pattern",
-    "parse_schedule",
-    "format_schedule",
-    "sample_pattern_events",
-    "Scenario",
-    "SCENARIOS",
-    "get_scenario",
-    "scenario_names",
-    "render_catalog",
-    "ArbiterDecision",
-    "ArbiterResult",
-    "arbitrate",
-    "recover_erasures",
-    "SimplexSystem",
-    "DuplexSystem",
-    "ReadOutcome",
-    "FailureEstimate",
-    "gillespie_fail_probability",
-    "simulate_fail_probability",
-    "simulate_fail_probability_batched",
-    "simulate_read_outcome",
-    "spawn_chunk_seeds",
-    "chunk_sizes",
-    "decide_from_decodes",
-    "wilson_interval",
-    "NMRSystem",
-    "simulate_nmr_read_unreliability",
-    "sample_mbu_strikes",
-    "simulate_mbu_read_unreliability",
-    "ControllerStats",
-    "simulate_controller",
-    "ARBITER_POLICIES",
-    "compare_policies",
-    "CampaignCell",
-    "CampaignRow",
-    "FINGERPRINT_SCHEMA",
-    "campaign_fingerprint",
-    "canonical_fingerprint_json",
-    "fingerprint_digest",
-    "stopping_fingerprint",
-    "upgrade_fingerprint",
-    "cell_model_probability",
-    "run_campaign",
-    "default_validation_campaign",
-    "campaign_summary",
-]
+# Submodules load on first use: importing the chunk path
+# (repro.simulator.montecarlo) must not drag in campaign -> memory -> scipy.
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "arbiter": (
+            "ArbiterDecision",
+            "ArbiterResult",
+            "arbitrate",
+            "decide_from_decodes",
+            "recover_erasures",
+        ),
+        "campaign": (
+            "FINGERPRINT_SCHEMA",
+            "CampaignCell",
+            "CampaignRow",
+            "campaign_fingerprint",
+            "campaign_summary",
+            "canonical_fingerprint_json",
+            "cell_model_probability",
+            "default_validation_campaign",
+            "fingerprint_digest",
+            "run_campaign",
+            "stopping_fingerprint",
+            "upgrade_fingerprint",
+        ),
+        "controller": ("ControllerStats", "simulate_controller"),
+        "faults": (
+            "FaultEvent",
+            "FaultKind",
+            "event_sort_key",
+            "merge_event_streams",
+            "sample_permanent_events",
+            "sample_seu_events",
+            "scrub_schedule",
+            "sort_events",
+        ),
+        "mbu": ("sample_mbu_strikes", "simulate_mbu_read_unreliability"),
+        "montecarlo": (
+            "FailureEstimate",
+            "chunk_sizes",
+            "gillespie_fail_probability",
+            "simulate_fail_probability",
+            "simulate_fail_probability_batched",
+            "simulate_read_outcome",
+            "spawn_chunk_seeds",
+            "wilson_interval",
+        ),
+        "patterns": (
+            "IID_1BIT",
+            "FaultPattern",
+            "PatternKind",
+            "PatternTerm",
+            "RateSchedule",
+            "format_pattern",
+            "format_schedule",
+            "parse_pattern",
+            "parse_schedule",
+            "sample_pattern_events",
+        ),
+        "policies": ("ARBITER_POLICIES", "compare_policies"),
+        "scenarios": (
+            "SCENARIOS",
+            "Scenario",
+            "get_scenario",
+            "render_catalog",
+            "scenario_names",
+        ),
+        "systems": ("DuplexSystem", "ReadOutcome", "SimplexSystem"),
+        "voting": ("NMRSystem", "simulate_nmr_read_unreliability"),
+        "word": ("MemoryWord",),
+    },
+)

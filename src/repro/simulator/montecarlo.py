@@ -28,11 +28,10 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..memory.base import FAIL, MemoryMarkovModel
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..perf import PerfCounters, Stopwatch
@@ -63,6 +62,9 @@ from .patterns import (
     sample_pattern_events,
 )
 from .systems import DuplexSystem, ReadOutcome, SimplexSystem
+
+if TYPE_CHECKING:
+    from ..memory.base import MemoryMarkovModel
 
 PatternLike = Union[str, FaultPattern, None]
 ScheduleLike = Union[str, "RateSchedule", None]
@@ -124,6 +126,8 @@ def gillespie_fail_probability(
     transient CTMC solution, making this an end-to-end check of the
     chain construction *and* the numerical solvers.
     """
+    from ..memory.base import FAIL
+
     if rng is None:
         rng = np.random.default_rng()
     failures = 0
@@ -446,9 +450,11 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     code = codec.scalar
     counters = PerfCounters()
     codec.counters = counters
-    # Busy time goes to the additive cpu_seconds axis; true wall clock
-    # (elapsed_seconds) is owned by the coordinator's Stopwatch.
-    t_busy = time.perf_counter()
+    # The chunk's own CPU time goes to the additive cpu_seconds axis; true
+    # wall clock (elapsed_seconds) is owned by the coordinator's Stopwatch.
+    # Every executor runs a chunk on one thread, so the thread clock
+    # excludes time spent waiting (oversubscribed cores, sleeps).
+    t_busy = time.thread_time()
     try:
         rng = np.random.default_rng(seed_seq)
         n_modules = 2 if arrangement == "duplex" else 1
@@ -647,7 +653,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         )
         counters.trials += n_trials
         counters.chunks += 1
-        counters.cpu_seconds += time.perf_counter() - t_busy
+        counters.cpu_seconds += time.thread_time() - t_busy
         return {
             "failures": failures,
             "counts": counts,
@@ -688,7 +694,7 @@ def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
         *_rest,  # backend hint; irrelevant to the scalar reference path
     ) = args
     code = _cached_batch_codec(n, k, m, fcr).scalar
-    t_busy = time.perf_counter()
+    t_busy = time.thread_time()
     rng = np.random.default_rng(seed_seq)
     pattern = None if pattern_spec is None else parse_pattern(pattern_spec)
     schedule = parse_schedule(schedule_spec)
@@ -711,7 +717,7 @@ def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
         if outcome.is_failure:
             failures += 1
     counters = PerfCounters(
-        trials=n_trials, chunks=1, cpu_seconds=time.perf_counter() - t_busy
+        trials=n_trials, chunks=1, cpu_seconds=time.thread_time() - t_busy
     )
     return {
         "failures": failures,

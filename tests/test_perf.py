@@ -152,3 +152,40 @@ class TestPooledWallAccounting:
         assert counters.trials_per_second == pytest.approx(
             800 / counters.elapsed_seconds
         )
+
+
+class TestChunkCpuClock:
+    """cpu_seconds is chunk CPU time: a sleeping chunk does not inflate it."""
+
+    def test_sleep_inside_chunk_counts_as_wall_not_cpu(self, monkeypatch):
+        import numpy as np
+
+        from repro.rs import RSCode
+        from repro.simulator import simulate_fail_probability_batched
+
+        nap = 0.25
+        real_rng = np.random.default_rng
+
+        def sleepy_rng(*args, **kwargs):
+            # Called once at the top of every chunk body.
+            time.sleep(nap)
+            return real_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", sleepy_rng)
+        counters = PerfCounters()
+        estimate = simulate_fail_probability_batched(
+            "simplex",
+            RSCode(18, 16, m=8),
+            48.0,
+            seu_per_bit=2e-3 / 24.0,
+            erasure_per_symbol=0.0,
+            trials=200,
+            seed=11,
+            chunk_size=50,
+            workers=1,
+            counters=counters,
+        )
+        slept = nap * counters.chunks
+        assert estimate.trials == 200 and counters.chunks == 4
+        assert counters.elapsed_seconds >= slept
+        assert 0.0 < counters.cpu_seconds < 0.25 * slept

@@ -330,3 +330,24 @@ def test_lease_board_defaults_to_private_tempdir():
     finally:
         executor.close()
     assert not board.exists()  # private boards are cleaned up on close
+
+
+def _freeze_count(_args):
+    import gc
+
+    return {"frozen": gc.get_freeze_count()}
+
+
+def test_pool_workers_freeze_the_inherited_heap():
+    # Forked workers must keep their collector off the coordinator's
+    # objects (no copy-on-write from full collections).
+    executor = make_executor("pool", 1)
+    try:
+        token = executor.submit((_freeze_count, 0, 0, None, None))
+        done = []
+        while not done:
+            done = executor.poll(timeout=10.0)
+    finally:
+        executor.close()
+    assert done[0].token == token and done[0].error is None
+    assert done[0].result["frozen"] > 0

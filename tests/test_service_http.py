@@ -284,6 +284,12 @@ def _poll_done(base, job_id, timeout=300.0):
     raise AssertionError(f"job {job_id} did not finish in {timeout}s")
 
 
+def _journaled_chunks(path) -> int:
+    """Complete ``chunk`` records in a chunk journal (torn tail ignored)."""
+    complete = path.read_bytes().split(b"\n")[:-1]
+    return sum(b'"kind": "chunk"' in line for line in complete)
+
+
 @pytest.mark.chaos
 class TestRestartResume:
     SPEC = {
@@ -308,14 +314,16 @@ class TestRestartResume:
         state = tmp_path / "state"
         proc, base = _start_server(state)
         job_id = _post(base, self.SPEC)["job_id"]
+        # Kill only once a whole chunk record is journaled: the header
+        # alone makes the file non-empty but leaves nothing to resume.
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             chunk_journals = list((state / "chunks").glob("*.journal"))
-            if chunk_journals and chunk_journals[0].stat().st_size > 0:
+            if chunk_journals and _journaled_chunks(chunk_journals[0]) > 0:
                 break
             time.sleep(0.05)
         else:
-            raise AssertionError("campaign never started journaling chunks")
+            raise AssertionError("campaign never journaled a chunk")
         proc.kill()  # SIGKILL: no atexit, no journal close, nothing
         proc.wait(timeout=30)
 
