@@ -253,24 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--executor",
-        choices=("auto", "serial", "pool", "lease", "fleet"),
+        choices=("auto", "serial", "pool", "fleet"),
         default="auto",
         help="chunk dispatch backend (batch engine only): 'serial' runs "
-        "in-process, 'pool' uses the process pool, 'lease' posts chunks "
-        "to an on-disk board next to the checkpoint journal where "
-        "long-lived workers lease them (multi-host-shaped, with "
-        "work-stealing and straggler re-dispatch); 'fleet' drives "
-        "detachable `repro worker` agents over a shared board with "
-        "heartbeat leases and epoch-fenced re-dispatch (cross-host "
-        "capable; spawns local agents unless --board points at an "
-        "externally staffed board); 'auto' (default) picks serial for "
+        "in-process, 'pool' uses the process pool, 'fleet' drives "
+        "detachable `repro worker` agents over a shared board next to "
+        "the checkpoint journal, with heartbeat leases, epoch-fenced "
+        "and straggler re-dispatch (cross-host capable; spawns local "
+        "agents unless --board points at an externally staffed board); "
+        "'auto' (default) picks serial for "
         "--workers 1, else pool — estimates are bit-identical for "
         "every choice",
     )
     camp.add_argument(
         "--board",
         metavar="DIR",
-        help="shared board directory for --executor lease/fleet "
+        help="shared board directory for --executor fleet "
         "(default: derived from the checkpoint journal path); with "
         "--executor fleet an explicit board means external `repro "
         "worker` agents do the computing and none are spawned locally",
@@ -803,10 +801,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.max_retries < 1:
         print("--max-retries must be >= 1", file=sys.stderr)
         return 2
-    if args.board is not None and args.executor not in ("lease", "fleet"):
+    if args.board is not None and args.executor != "fleet":
         print(
-            "--board requires --executor lease or fleet (other "
-            "executors have no on-disk board)",
+            "--board requires --executor fleet (other executors have "
+            "no on-disk board)",
             file=sys.stderr,
         )
         return 2
@@ -925,13 +923,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         executor=None if args.executor == "auto" else args.executor,
         board_dir=Path(args.board) if args.board else None,
         worker_ttl=args.fleet_ttl,
-        # The board-backed executors are the multi-host-shaped backends,
-        # so they get straggler speculation by default; serial/pool
-        # chunks share one machine and a slow chunk there is just a
-        # slow machine.
-        straggler=(
-            StragglerPolicy() if args.executor in ("lease", "fleet") else None
-        ),
+        # The fleet is the multi-host backend, so it gets straggler
+        # speculation by default; serial/pool chunks share one machine
+        # and a slow chunk there is just a slow machine.
+        straggler=StragglerPolicy() if args.executor == "fleet" else None,
         stop=stop,
         on_snapshot=on_snapshot if args.progress else None,
         progress=tracker,

@@ -181,13 +181,13 @@ class PerfCounters:
         return self.words_decoded / self.elapsed_seconds
 
     @property
-    def parallel_speedup(self) -> float:
+    def cpu_per_wall(self) -> float:
         """``cpu_seconds / elapsed_seconds`` — cores kept busy by chunks.
 
         Chunk CPU time per coordinator wall second.  Waiting is not
         counted, so oversubscription or sleeping chunks lower it rather
-        than inflate it; it estimates, but is not measured against, the
-        speedup over a serial run of the same chunks.
+        than inflate it.  It is not a speedup: a 2-worker run can keep
+        1.2 cores busy and still finish later than a serial run.
         """
         if self.elapsed_seconds <= 0:
             return 0.0
@@ -212,7 +212,7 @@ class PerfCounters:
                 f"kernel (GF/RS)     : {self.kernel_seconds:.3f} s"
             )
         if self.elapsed_seconds > 0 and self.cpu_seconds > 0:
-            lines.append(f"parallel speedup   : {self.parallel_speedup:.2f}x")
+            lines.append(f"chunk cpu / wall   : {self.cpu_per_wall:.2f}")
         if self.trials and self.elapsed_seconds > 0:
             lines.append(f"trials/sec (wall)  : {self.trials_per_second:,.0f}")
         if self.words_decoded and self.elapsed_seconds > 0:

@@ -15,9 +15,9 @@ Public surface:
   and serial degradation.
 * :class:`Executor` and friends (:mod:`repro.runtime.executors`) — the
   pluggable execution backends the coordinator drives: serial
-  in-process, ``ProcessPoolExecutor`` pool, the multi-host-shaped
-  :class:`LeaseExecutor` board guarded by the integrity layer's lock,
-  and the cross-host :class:`~repro.runtime.fleet.FleetExecutor`.
+  in-process, ``ProcessPoolExecutor`` pool, and the cross-host
+  :class:`~repro.runtime.fleet.FleetExecutor` board guarded by the
+  integrity layer's lock.
 * :mod:`repro.runtime.fleet` — detachable ``repro worker`` agents with
   heartbeat leases, epoch-fenced re-dispatch, zombie-result rejection,
   and the ``repro doctor`` board audit/repair helpers.
@@ -73,7 +73,6 @@ from .executors import (
     ChunkState,
     Completion,
     Executor,
-    LeaseExecutor,
     PoolExecutor,
     SerialExecutor,
     StragglerPolicy,
@@ -113,11 +112,10 @@ class RuntimeConfig:
     chaos: Optional[ChaosSpec] = None
     journal: Optional[CheckpointJournal] = None
 
-    #: Executor backend name (``serial`` | ``pool`` | ``lease`` |
-    #: ``fleet``); ``None`` selects the historical default (serial for
-    #: one worker, else pool).
+    #: Executor backend name (``serial`` | ``pool`` | ``fleet``); ``None``
+    #: selects the historical default (serial for one worker, else pool).
     executor: Optional[str] = None
-    #: Shared board directory for ``lease``/``fleet`` executors; ``None``
+    #: Shared board directory for the ``fleet`` executor; ``None``
     #: derives a journal-adjacent (or private temporary) board.
     board_dir: Optional[Path] = None
     #: Heartbeat-lease TTL for the ``fleet`` executor, seconds; ``None``
@@ -173,7 +171,6 @@ __all__ = [
     "ChunkState",
     "Completion",
     "Executor",
-    "LeaseExecutor",
     "PoolExecutor",
     "SerialExecutor",
     "StragglerPolicy",

@@ -1,10 +1,9 @@
 """Fleet runtime: detachable worker agents over heartbeat-leased boards.
 
-The :class:`~repro.runtime.executors.LeaseExecutor` proved the pull
-model on one host, but its orphan detection attributes a dead worker by
-*local pid* — meaningless the moment a second machine attaches to the
-board.  This module replaces pid-liveness with three host-independent
-mechanisms:
+Workers pull chunks from an on-disk board shared by every host that
+can see it.  A dead worker is never attributed by *local pid*, which
+means nothing once a second machine attaches to the board; liveness
+rests on three host-independent mechanisms instead:
 
 * **heartbeat leases** — every worker registers
   ``workers/<worker-id>.hb`` on the board and renews it atomically
@@ -53,6 +52,7 @@ epoch-mismatched entries, and leftover ``STOP`` flags;
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -73,7 +73,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..resilience import ResilienceWarning
 from .chaos import CHAOS_EXIT_CODE, ChaosSpec
-from .executors import _CLAIM_POLL_S, _STOP_NAME, Completion, Executor, _supervised_call
+from .executors import Completion, Executor, _supervised_call
 from .integrity import JournalLock, probe_lock
 
 #: Default worker heartbeat TTL (seconds): a lease whose worker has not
@@ -87,11 +87,17 @@ DEFAULT_BENCH_THRESHOLD = 3
 DEFAULT_BENCH_BASE_S = 1.0
 DEFAULT_BENCH_MAX_S = 30.0
 
+#: Board flag file: workers exit once the coordinator drops it.
+_STOP_NAME = "STOP"
+#: Idle sleep between board scans (workers and coordinator).
+_CLAIM_POLL_S = 0.02
+
 _TASK_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task$")
 _DONE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.done$")
 #: Lease names are ``<task-name>.<worker-id>``.
 _LEASE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task\.(.+)$")
-# Legacy (single-host LeaseExecutor) names: no epoch, pid-suffixed leases.
+# Names an older single-host board executor left behind: no epoch,
+# pid-suffixed leases.  Only ``repro doctor`` reads them.
 _LEGACY_TASK_RE = re.compile(r"^(\d{8})\.task$")
 _LEGACY_DONE_RE = re.compile(r"^(\d{8})\.done$")
 _LEGACY_LEASE_RE = re.compile(r"^(\d{8})\.task\.(\d+)$")
@@ -142,10 +148,10 @@ def _ensure_board(board: Path) -> None:
 
 
 def _looks_like_board(path: Path) -> bool:
-    """A directory with the lease-board layout (doctor dispatch).
+    """A directory with the board layout (doctor dispatch).
 
-    ``workers/`` is optional so legacy single-host :class:`LeaseExecutor`
-    boards (todo/leases/done only) are recognized too.
+    ``workers/`` is optional so legacy single-host boards (todo/leases/
+    done only, written by an older build) are recognized too.
     """
     return path.is_dir() and all(
         (path / sub).is_dir() for sub in ("todo", "leases", "done")
@@ -270,9 +276,10 @@ def worker_main(
     completes, or the board directory disappears.  Returns the number
     of chunks executed.
 
-    ``backend`` (a resolved batch backend name) overrides the engine
-    hint embedded in each payload — engines are execution hints, so a
-    heterogeneous fleet still produces bit-identical results.
+    ``backend`` (a resolved batch backend name) overrides the ``backend``
+    field of each payload's chunk spec and nothing else — engines are
+    execution hints, so a heterogeneous fleet still produces
+    bit-identical results.
     """
     if ttl <= 0:
         raise ValueError(f"ttl must be positive, got {ttl}")
@@ -380,11 +387,10 @@ def _run_leased_task(
                 time.sleep(hang_s)
         if (
             backend is not None
-            and isinstance(args, tuple)
-            and args
-            and isinstance(args[-1], str)
+            and dataclasses.is_dataclass(args)
+            and hasattr(args, "backend")
         ):
-            args = args[:-1] + (backend,)
+            args = dataclasses.replace(args, backend=backend)
         outcome = {"ok": _supervised_call((fn, chunk_index, attempt, chaos, args))}
     except Exception as exc:  # noqa: BLE001 - chunk isolation boundary
         outcome = {"error": repr(exc)}
@@ -475,7 +481,7 @@ class FleetExecutor(Executor):
         self.board = Path(board_dir)
         _ensure_board(self.board)
         # Same single-coordinator discipline (and exit path) as the
-        # lease board and the journal itself.
+        # journal itself.
         self._lock = JournalLock(self.board / "board")
         try:
             self._lock.acquire()
@@ -909,7 +915,7 @@ class FleetExecutor(Executor):
 def audit_board(
     path: Union[str, Path], *, ttl: float = DEFAULT_WORKER_TTL
 ) -> Dict[str, Any]:
-    """Audit one fleet/lease board directory (machine-readable).
+    """Audit one board directory, fleet or legacy (machine-readable).
 
     Reports, without mutating anything: registered workers and their
     heartbeat ages, orphaned leases (holder's heartbeat stale or

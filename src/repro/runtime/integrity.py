@@ -604,13 +604,13 @@ def audit_path(path: Union[str, Path]) -> Dict[str, Any]:
     """Audit a journal file, a board directory, or a state directory.
 
     Directories are searched (non-recursively) for ``*.jsonl`` journals,
-    run-manifest ``*.json`` files, and lease/fleet *board* directories
+    run-manifest ``*.json`` files, and fleet *board* directories
     (``todo/leases/done`` layout — the directory itself if board-shaped,
     else any board-shaped subdirectory); sidecars (``.quarantine``,
     ``.lock``) are reported with their journal, boards under a
     ``boards`` key.
     """
-    # Deferred: fleet imports executors which imports this module.
+    # Deferred: fleet imports this module.
     from .fleet import _looks_like_board, audit_board
 
     path = Path(path)

@@ -6,7 +6,7 @@ chunk exception.  :class:`ChunkSupervisor` replaces it with a supervised
 dispatch loop, now split from the execution backend: the coordinator
 owns retry/backoff/timeout/speculation *policy* and speaks the small
 :class:`~repro.runtime.executors.Executor` interface (serial in-process,
-``ProcessPoolExecutor`` pool, or the journal-adjacent lease board) for
+``ProcessPoolExecutor`` pool, or the journal-adjacent fleet board) for
 *mechanism*.
 
 * **crash detection** — an executor reports a dead worker as a
@@ -16,7 +16,7 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
 * **hang detection** — each in-flight chunk carries a deadline
   (``chunk_timeout``); an expired deadline charges the chunk and asks
   the executor to :meth:`~repro.runtime.executors.Executor.abandon`
-  just that submission (lease: kill one worker), falling back to a full
+  just that submission (fleet: fence its epoch), falling back to a full
   backend restart when it cannot (pool: workers are not individually
   evictable).
 * **bounded retries with exponential backoff** — each chunk gets
@@ -222,9 +222,9 @@ class ChunkSupervisor:
 
     def run(
         self,
-        jobs: Sequence[Tuple[int, tuple]],
-        primary: Callable[[tuple], Dict[str, Any]],
-        fallback: Optional[Callable[[tuple], Dict[str, Any]]] = None,
+        jobs: Sequence[Tuple[int, Any]],
+        primary: Callable[[Any], Dict[str, Any]],
+        fallback: Optional[Callable[[Any], Dict[str, Any]]] = None,
         on_complete: Optional[Callable[[int, Dict[str, Any]], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Dict[int, Dict[str, Any]]:
@@ -268,7 +268,7 @@ class ChunkSupervisor:
     def _run_one_serial(
         self,
         index: int,
-        args: tuple,
+        args: Any,
         primary: Callable,
         fallback: Optional[Callable],
         first_attempt: int = 0,
@@ -289,7 +289,7 @@ class ChunkSupervisor:
         return self._run_fallback(index, args, fallback)
 
     def _run_fallback(
-        self, index: int, args: tuple, fallback: Optional[Callable]
+        self, index: int, args: Any, fallback: Optional[Callable]
     ) -> Dict[str, Any]:
         if fallback is None:
             raise ChunkFailedError(
@@ -320,7 +320,7 @@ class ChunkSupervisor:
     def _run_coordinated(
         self,
         executor: Executor,
-        jobs: Sequence[Tuple[int, tuple]],
+        jobs: Sequence[Tuple[int, Any]],
         primary: Callable,
         fallback: Optional[Callable],
         on_complete: Optional[Callable],

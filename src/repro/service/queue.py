@@ -148,8 +148,25 @@ class JobQueue:
             return  # wrong shape: skip rather than kill the server
         try:
             tenant, spec = parse_spec(raw_spec)
-        except SpecError:
-            return  # a spec this build cannot parse cannot be run
+        except SpecError as exc:
+            # A spec this build cannot parse cannot be run.  Say so: the
+            # job would otherwise vanish (GET -> 404) without a trace.
+            obs_metrics.get_registry().counter(
+                "repro.service.queue_unparseable"
+            ).inc()
+            trace.event(
+                "queue_unparseable",
+                journal=str(self.path),
+                job=job_id,
+                error=str(exc),
+            )
+            warnings.warn(
+                f"queue journal {self.path}: job {job_id} has a spec this "
+                f"build cannot run ({exc}); skipping it",
+                ResilienceWarning,
+                stacklevel=5,
+            )
+            return
         job = Job(
             id=job_id, tenant=tenant, spec=spec, digest=spec.digest()
         )

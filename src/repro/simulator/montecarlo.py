@@ -410,7 +410,37 @@ def _draw_scrub_times(
     return out
 
 
-def _run_injection_chunk(args: tuple) -> Dict[str, object]:
+@dataclass(frozen=True)
+class ChunkSpec:
+    """One chunk of batched Monte-Carlo trials, as the chunk functions see it.
+
+    :func:`simulate_fail_probability_batched` builds one per chunk; an
+    executor hands it, pickled when it crosses a process or a board, to
+    :func:`_run_injection_chunk` (or the :func:`_run_scalar_chunk`
+    fallback).  Every field but ``backend`` fixes the chunk's result.
+    ``backend`` is the only execution hint: every registered batch
+    engine gives bit-identical results, so a fleet worker started with
+    ``--engine`` may replace it and nothing else.
+    """
+
+    arrangement: str
+    n: int
+    k: int
+    m: int
+    fcr: int
+    t_end: float
+    seu_per_bit: float
+    erasure_per_symbol: float
+    scrub_period: Optional[float]
+    scrub_exponential: bool
+    n_trials: int
+    seed_seq: np.random.SeedSequence
+    pattern_spec: Optional[str]
+    schedule_spec: Optional[str]
+    backend: str
+
+
+def _run_injection_chunk(spec: ChunkSpec) -> Dict[str, object]:
     """Execute one chunk of trials; picklable, runs in worker processes.
 
     Strategy: draw everything vectorized, skip trials with zero fault
@@ -426,27 +456,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     path (mask events and in-arrival permanents are stateful), keeping
     the fast zero-event shortcut for the clean majority.
     """
-    (
-        arrangement,
-        n,
-        k,
-        m,
-        fcr,
-        t_end,
-        seu_per_bit,
-        erasure_per_symbol,
-        scrub_period,
-        scrub_exponential,
-        n_trials,
-        seed_seq,
-        pattern_spec,
-        schedule_spec,
-        *rest,
-    ) = args
-    # The backend rides at the end of the args tuple so pre-registry
-    # 14-tuples (journals, tests, lease boards) stay replayable.
-    backend = rest[0] if rest else "numpy"
-    codec = _cached_batch_codec(n, k, m, fcr, backend)
+    codec = _cached_batch_codec(spec.n, spec.k, spec.m, spec.fcr, spec.backend)
     code = codec.scalar
     counters = PerfCounters()
     codec.counters = counters
@@ -456,66 +466,84 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     # excludes time spent waiting (oversubscribed cores, sleeps).
     t_busy = time.thread_time()
     try:
-        rng = np.random.default_rng(seed_seq)
-        n_modules = 2 if arrangement == "duplex" else 1
-        if arrangement not in ("simplex", "duplex"):
-            raise ValueError(f"unknown arrangement {arrangement!r}")
+        rng = np.random.default_rng(spec.seed_seq)
+        n_modules = 2 if spec.arrangement == "duplex" else 1
+        if spec.arrangement not in ("simplex", "duplex"):
+            raise ValueError(f"unknown arrangement {spec.arrangement!r}")
 
-        data = rng.integers(0, code.gf.order, size=(n_trials, k))
+        data = rng.integers(0, code.gf.order, size=(spec.n_trials, spec.k))
         codewords = codec.encode_batch(data)
 
-        use_patterns = pattern_spec is not None or schedule_spec is not None
+        use_patterns = (
+            spec.pattern_spec is not None or spec.schedule_spec is not None
+        )
         if use_patterns:
             pat = (
-                parse_pattern(pattern_spec)
-                if pattern_spec is not None
+                parse_pattern(spec.pattern_spec)
+                if spec.pattern_spec is not None
                 else IID_1BIT
             )
-            sched = parse_schedule(schedule_spec)
-            expected = seu_per_bit * n * m * (
-                sched.integral(t_end) if sched is not None else t_end
+            sched = parse_schedule(spec.schedule_spec)
+            expected = spec.seu_per_bit * spec.n * spec.m * (
+                sched.integral(spec.t_end) if sched is not None else spec.t_end
             )
             seu_tables: Optional[List[tuple]] = None
-            seu_counts = np.zeros(n_trials, dtype=np.int64)
+            seu_counts = np.zeros(spec.n_trials, dtype=np.int64)
             # Per module: {trial -> expanded events}; counts drawn
             # vectorized, expansion done per dirty trial in trial order
             # so the stream is a pure function of the chunk seed.
             pattern_trial_events: List[Dict[int, List[FaultEvent]]] = []
             for module in range(n_modules):
                 mod_counts = (
-                    rng.poisson(expected, size=n_trials)
+                    rng.poisson(expected, size=spec.n_trials)
                     if expected > 0
-                    else np.zeros(n_trials, dtype=np.int64)
+                    else np.zeros(spec.n_trials, dtype=np.int64)
                 )
                 per_trial: Dict[int, List[FaultEvent]] = {}
                 for trial in np.flatnonzero(mod_counts):
                     arrivals = int(mod_counts[trial])
                     if sched is not None:
-                        times = sched.sample_times(rng, t_end, arrivals)
+                        times = sched.sample_times(rng, spec.t_end, arrivals)
                     else:
                         times = np.sort(
-                            rng.uniform(0.0, t_end, size=arrivals)
+                            rng.uniform(0.0, spec.t_end, size=arrivals)
                         )
                     per_trial[int(trial)] = expand_arrivals(
-                        rng, pat, times, n, m, module
+                        rng, pat, times, spec.n, spec.m, module
                     )
                 seu_counts = seu_counts + mod_counts.astype(np.int64)
                 pattern_trial_events.append(per_trial)
         else:
             seu_tables = [
                 _draw_event_table(
-                    rng, seu_per_bit * n * m, t_end, n_trials, n, m, False
+                    rng,
+                    spec.seu_per_bit * spec.n * spec.m,
+                    spec.t_end,
+                    spec.n_trials,
+                    spec.n,
+                    spec.m,
+                    False,
                 )
                 for _ in range(n_modules)
             ]
         perm_tables = [
             _draw_event_table(
-                rng, erasure_per_symbol * n, t_end, n_trials, n, m, True
+                rng,
+                spec.erasure_per_symbol * spec.n,
+                spec.t_end,
+                spec.n_trials,
+                spec.n,
+                spec.m,
+                True,
             )
             for _ in range(n_modules)
         ]
         scrub_times = _draw_scrub_times(
-            rng, t_end, scrub_period, scrub_exponential, n_trials
+            rng,
+            spec.t_end,
+            spec.scrub_period,
+            spec.scrub_exponential,
+            spec.n_trials,
         )
 
         counts = {outcome.value: 0 for outcome in ReadOutcome}
@@ -530,7 +558,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
             [len(times) == 0 for times in scrub_times], dtype=bool
         )
         dirty = fault_counts > 0
-        counts[ReadOutcome.CORRECT.value] += int(n_trials - dirty.sum())
+        counts[ReadOutcome.CORRECT.value] += int(spec.n_trials - dirty.sum())
 
         # SEU-only trials with no scrubs need no event replay: with no
         # stuck cells and no rewrites, flips commute, so the final stored
@@ -538,7 +566,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         # Pattern events are excluded: mask strikes and in-arrival
         # permanents are stateful, so every pattern-dirty trial replays.
         if use_patterns:
-            vector_mask = np.zeros(n_trials, dtype=bool)
+            vector_mask = np.zeros(spec.n_trials, dtype=bool)
         else:
             vector_mask = dirty & (perm_counts == 0) & scrubless
         vec_trials = np.flatnonzero(vector_mask)
@@ -552,14 +580,14 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         trial_meta: List[Tuple[int, int, int]] = []
 
         if vec_trials.size:
-            compact = np.full(n_trials, -1, dtype=np.int64)
+            compact = np.full(spec.n_trials, -1, dtype=np.int64)
             compact[vec_trials] = np.arange(vec_trials.size)
             received_per_module = []
             for module in range(n_modules):
                 mod_counts, _times, symbols, bits, _values, _off = seu_tables[
                     module
                 ]
-                ev_trial = np.repeat(np.arange(n_trials), mod_counts)
+                ev_trial = np.repeat(np.arange(spec.n_trials), mod_counts)
                 ev_mask = vector_mask[ev_trial]
                 rec = codewords[vec_trials].copy()
                 np.bitwise_xor.at(
@@ -594,7 +622,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
             ]
             events.sort(key=event_sort_key)
             codeword = codewords[trial].tolist()
-            if arrangement == "simplex":
+            if spec.arrangement == "simplex":
                 system: SimplexSystem | DuplexSystem = SimplexSystem(
                     code, codeword=codeword
                 )
@@ -602,7 +630,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
                 system = DuplexSystem(code, codeword=codeword)
             for event in events:
                 system.apply_event(event)
-            if arrangement == "simplex":
+            if spec.arrangement == "simplex":
                 pending_words.append(system.word.read())
                 pending_erasures.append(system.word.located_positions)
                 trial_meta.append((int(trial), 0, 0))
@@ -623,7 +651,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
             truth_rows = data.tolist()
             for slot, (trial, masked, shared) in enumerate(trial_meta):
                 truth = truth_rows[trial]
-                if arrangement == "simplex":
+                if spec.arrangement == "simplex":
                     r = report.results[slot]
                     if isinstance(r, RSDecodingError):
                         outcome = ReadOutcome.UNREADABLE
@@ -651,23 +679,24 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         failures = sum(
             counts[o.value] for o in ReadOutcome if o.is_failure
         )
-        counters.trials += n_trials
+        counters.trials += spec.n_trials
         counters.chunks += 1
         counters.cpu_seconds += time.thread_time() - t_busy
         return {
             "failures": failures,
             "counts": counts,
-            "trials": n_trials,
+            "trials": spec.n_trials,
             "counters": counters.as_dict(),
         }
     finally:
         codec.counters = None
 
 
-def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
+def _run_scalar_chunk(spec: ChunkSpec) -> Dict[str, object]:
     """Scalar (one-trial-at-a-time) executor for one chunk; the fallback.
 
-    Takes the same args tuple as :func:`_run_injection_chunk` and
+    Takes the same :class:`ChunkSpec` as :func:`_run_injection_chunk`
+    (its ``backend`` hint is irrelevant to the scalar reference path) and
     produces the same result payload, but runs every trial through the
     trusted :func:`simulate_read_outcome` reference path.  The chunk's
     spawned ``SeedSequence`` seeds the generator, so the fallback is
@@ -676,40 +705,25 @@ def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
     (same physics, same seed independence) but not stream-identical to
     its batch counterpart.
     """
-    (
-        arrangement,
-        n,
-        k,
-        m,
-        fcr,
-        t_end,
-        seu_per_bit,
-        erasure_per_symbol,
-        scrub_period,
-        scrub_exponential,
-        n_trials,
-        seed_seq,
-        pattern_spec,
-        schedule_spec,
-        *_rest,  # backend hint; irrelevant to the scalar reference path
-    ) = args
-    code = _cached_batch_codec(n, k, m, fcr).scalar
+    code = _cached_batch_codec(spec.n, spec.k, spec.m, spec.fcr).scalar
     t_busy = time.thread_time()
-    rng = np.random.default_rng(seed_seq)
-    pattern = None if pattern_spec is None else parse_pattern(pattern_spec)
-    schedule = parse_schedule(schedule_spec)
+    rng = np.random.default_rng(spec.seed_seq)
+    pattern = (
+        None if spec.pattern_spec is None else parse_pattern(spec.pattern_spec)
+    )
+    schedule = parse_schedule(spec.schedule_spec)
     counts = {outcome.value: 0 for outcome in ReadOutcome}
     failures = 0
-    for _ in range(n_trials):
+    for _ in range(spec.n_trials):
         outcome = simulate_read_outcome(
-            arrangement,
+            spec.arrangement,
             code,
-            t_end,
-            seu_per_bit,
-            erasure_per_symbol,
+            spec.t_end,
+            spec.seu_per_bit,
+            spec.erasure_per_symbol,
             rng,
-            scrub_period=scrub_period,
-            scrub_exponential=scrub_exponential,
+            scrub_period=spec.scrub_period,
+            scrub_exponential=spec.scrub_exponential,
             pattern=pattern,
             schedule=schedule,
         )
@@ -717,12 +731,14 @@ def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
         if outcome.is_failure:
             failures += 1
     counters = PerfCounters(
-        trials=n_trials, chunks=1, cpu_seconds=time.thread_time() - t_busy
+        trials=spec.n_trials,
+        chunks=1,
+        cpu_seconds=time.thread_time() - t_busy,
     )
     return {
         "failures": failures,
         "counts": counts,
-        "trials": n_trials,
+        "trials": spec.n_trials,
         "counters": counters.as_dict(),
     }
 
@@ -794,7 +810,7 @@ def simulate_fail_probability_batched(
     run bit-identical to an uninterrupted one.
 
     ``runtime.executor`` selects the dispatch backend (serial, pool, or
-    the journal-adjacent lease board) and ``runtime.straggler`` enables
+    the journal-adjacent fleet board) and ``runtime.straggler`` enables
     speculative re-dispatch — neither can affect the estimate.  Every
     completion streams an incremental BER±CI snapshot into the obs
     layer (and ``runtime.on_snapshot``); ``runtime.stop`` adds the
@@ -829,23 +845,23 @@ def simulate_fail_probability_batched(
     )
     sizes = chunk_sizes(trials, chunk_size)
     seeds = spawn_chunk_seeds(seed, len(sizes))
-    job_args = [
-        (
-            arrangement,
-            code.n,
-            code.k,
-            code.m,
-            code.fcr,
-            t_end,
-            seu_per_bit,
-            erasure_per_symbol,
-            scrub_period,
-            scrub_exponential,
-            size,
-            chunk_seed,
-            pattern_spec,
-            schedule_spec,
-            backend,
+    specs = [
+        ChunkSpec(
+            arrangement=arrangement,
+            n=code.n,
+            k=code.k,
+            m=code.m,
+            fcr=code.fcr,
+            t_end=t_end,
+            seu_per_bit=seu_per_bit,
+            erasure_per_symbol=erasure_per_symbol,
+            scrub_period=scrub_period,
+            scrub_exponential=scrub_exponential,
+            n_trials=size,
+            seed_seq=chunk_seed,
+            pattern_spec=pattern_spec,
+            schedule_spec=schedule_spec,
+            backend=backend,
         )
         for size, chunk_seed in zip(sizes, seeds)
     ]
@@ -876,8 +892,8 @@ def simulate_fail_probability_batched(
             stopper.offer(index, chunk_failures, chunk_trials)
 
     results: Dict[int, Dict[str, object]] = {}
-    jobs: List[Tuple[int, tuple]] = []
-    for index, args in enumerate(job_args):
+    jobs: List[Tuple[int, ChunkSpec]] = []
+    for index, spec in enumerate(specs):
         cached = (
             journal.completed(cell_key, index, seed_ids[index])
             if journal is not None
@@ -902,7 +918,7 @@ def simulate_fail_probability_batched(
                     cfg.on_progress(progress_event)
             trace.event("chunk_heartbeat", **heartbeat_attrs)
         else:
-            jobs.append((index, args))
+            jobs.append((index, spec))
     if stopper is not None and stopper.should_stop:
         # Resumed chunks alone satisfied the rule on a complete prefix;
         # everything past the stop index is unnecessary work.
@@ -921,9 +937,7 @@ def simulate_fail_probability_batched(
     ), Stopwatch(own_counters):
         if jobs:
             board_dir = cfg.board_dir
-            if board_dir is None and journal is not None and (
-                cfg.executor in ("lease", "fleet")
-            ):
+            if board_dir is None and journal is not None and cfg.executor == "fleet":
                 board_dir = Path(str(journal.path) + ".board")
             # An explicit board means external `repro worker` agents do
             # the computing; without one the fleet spawns local agents.

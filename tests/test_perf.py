@@ -59,17 +59,19 @@ class TestDerived:
         c = PerfCounters(trials=100, elapsed_seconds=2.0, cpu_seconds=8.0)
         assert c.trials_per_second == pytest.approx(50.0)
 
-    def test_parallel_speedup(self):
+    def test_cpu_per_wall(self):
         c = PerfCounters(elapsed_seconds=2.0, cpu_seconds=8.0)
-        assert c.parallel_speedup == pytest.approx(4.0)
-        assert PerfCounters().parallel_speedup == 0.0
+        assert c.cpu_per_wall == pytest.approx(4.0)
+        assert PerfCounters().cpu_per_wall == 0.0
 
     def test_summary_reports_both_time_axes(self):
         c = PerfCounters(trials=10, elapsed_seconds=1.0, cpu_seconds=4.0)
         text = c.summary()
         assert "elapsed (wall)" in text
         assert "cpu (all workers)" in text
-        assert "4.00x" in text
+        # CPU per wall second, not a speedup measured against a serial run.
+        assert "chunk cpu / wall   : 4.00" in text
+        assert "speedup" not in text
 
     def test_publish_mirrors_fields_into_registry(self):
         registry = MetricsRegistry()

@@ -10,12 +10,14 @@ zombie-publish, the journal and estimate are bit-identical to an
 uninterrupted serial run.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from repro.runtime import (
     make_executor,
     parse_chaos_spec,
     scan_journal,
+    seed_key,
 )
 from repro.runtime.fleet import (
     DEFAULT_WORKER_TTL,
@@ -39,7 +42,8 @@ from repro.runtime.fleet import (
     default_worker_id,
     repair_board,
 )
-from repro.simulator import simulate_fail_probability_batched
+from repro.simulator import simulate_fail_probability_batched, spawn_chunk_seeds
+from repro.simulator.montecarlo import ChunkSpec
 
 CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
@@ -316,6 +320,106 @@ def test_worker_max_chunks_zero_exits_immediately(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# agent publish durability (done/ dir fsync before lease release)
+# --------------------------------------------------------------------------
+
+
+def _echo_result(args):
+    return {"value": args[0]}
+
+
+def _post_task(board, payload, token=0):
+    with open(board / "todo" / f"{token:08d}.e0000.task", "wb") as fh:
+        pickle.dump(payload, fh)
+
+
+def test_fleet_publish_fsyncs_done_dir_before_lease_release(
+    tmp_path, monkeypatch
+):
+    """The done/ directory entry must be durable *before* the lease (the
+    only evidence the chunk was claimed) is removed."""
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_task(board, (_echo_result, 0, 0, None, (7,)))
+    done_file = board / "done" / "00000000.e0000.done"
+    real_fsync_dir = fleet.fsync_dir
+    observed = []
+
+    def recording(path):
+        observed.append((done_file.exists(), any((board / "leases").iterdir())))
+        return real_fsync_dir(path)
+
+    monkeypatch.setattr(fleet, "fsync_dir", recording)
+    assert fleet.worker_main(board, max_chunks=1, install_signals=False) == 1
+    # exactly one publish: at fsync time the rename had landed and the
+    # lease had not yet been released
+    assert observed == [(True, True)]
+    with open(done_file, "rb") as fh:
+        assert pickle.load(fh)["ok"] == {"value": 7}
+    assert not any((board / "leases").iterdir())
+
+
+def test_fleet_publish_crash_window_never_loses_both(tmp_path, monkeypatch):
+    """A crash between publishing the done-file and removing the lease
+    must leave BOTH behind: were the lease gone while the done-file's
+    directory entry was still volatile, a completed chunk would be lost
+    with no orphan left to re-dispatch."""
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_task(board, (_echo_result, 0, 0, None, (7,)))
+
+    def crash(path):
+        raise RuntimeError("injected host crash during done/ fsync")
+
+    monkeypatch.setattr(fleet, "fsync_dir", crash)
+    with pytest.raises(RuntimeError, match="injected host crash"):
+        fleet.worker_main(board, max_chunks=1, install_signals=False)
+    assert (board / "done" / "00000000.e0000.done").exists()
+    assert list((board / "leases").iterdir())  # claim evidence retained
+
+
+def _chunk_spec_fields(spec):
+    fields = dataclasses.asdict(replace(spec, seed_seq=None))
+    return {**fields, "seed": seed_key(spec.seed_seq)}
+
+
+def test_worker_engine_override_changes_only_backend(tmp_path):
+    """``repro worker --engine`` replaces the chunk spec's ``backend``
+    and nothing else, even when the spec carries a rate schedule."""
+    from repro.runtime.fleet import worker_main
+
+    spec = ChunkSpec(
+        arrangement="duplex",
+        n=18,
+        k=16,
+        m=8,
+        fcr=1,
+        t_end=48.0,
+        seu_per_bit=LAM,
+        erasure_per_symbol=0.0,
+        scrub_period=None,
+        scrub_exponential=False,
+        n_trials=4,
+        seed_seq=spawn_chunk_seeds(23, 1)[0],
+        pattern_spec=None,
+        schedule_spec="42.0h@1.0,6.0h@8.0",
+        backend="numpy",
+    )
+    board = _make_board(tmp_path)
+    _post_task(board, (_chunk_spec_fields, 0, 0, None, spec))
+    assert (
+        worker_main(board, backend="scalar", max_chunks=1, install_signals=False)
+        == 1
+    )
+    with open(board / "done" / "00000000.e0000.done", "rb") as fh:
+        seen = pickle.load(fh)["ok"]
+    assert seen == _chunk_spec_fields(replace(spec, backend="scalar"))
+    assert seen["schedule_spec"] == "42.0h@1.0,6.0h@8.0"
+
+
+# --------------------------------------------------------------------------
 # empty-fleet degradation
 # --------------------------------------------------------------------------
 
@@ -519,7 +623,8 @@ def test_repair_refuses_live_coordinator(tmp_path):
 
 def test_audit_covers_legacy_pid_leases(tmp_path):
     board = _make_board(tmp_path)
-    # a legacy LeaseExecutor lease held by a certainly-dead pid
+    # a legacy pid-suffixed lease (older single-host board executor)
+    # held by a certainly-dead pid
     (board / "leases" / "00000000.task.999999").write_bytes(b"x")
     report = audit_board(board)
     assert [o["worker"] for o in report["orphaned_leases"]] == ["pid:999999"]

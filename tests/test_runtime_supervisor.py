@@ -7,7 +7,9 @@ were *persistently* un-runnable on the batch engine, which degrade to
 the deterministic scalar reference executor.
 """
 
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -20,19 +22,46 @@ from repro.runtime import (
     RetryPolicy,
     RuntimeConfig,
     parse_chaos_spec,
+    seed_key,
 )
 from repro.simulator import (
     chunk_sizes,
     simulate_fail_probability_batched,
     spawn_chunk_seeds,
 )
-from repro.simulator.montecarlo import _run_scalar_chunk, wilson_interval
+from repro.simulator.montecarlo import (
+    ChunkSpec,
+    _run_injection_chunk,
+    _run_scalar_chunk,
+    wilson_interval,
+)
 from repro.simulator.systems import ReadOutcome
 
 CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
+
+
+def chunk_spec(n_trials, seed_seq):
+    """The chunk spec ``batched`` builds for one of its chunks."""
+    return ChunkSpec(
+        arrangement="simplex",
+        n=18,
+        k=16,
+        m=8,
+        fcr=1,
+        t_end=48.0,
+        seu_per_bit=LAM,
+        erasure_per_symbol=0.0,
+        scrub_period=None,
+        scrub_exponential=False,
+        n_trials=n_trials,
+        seed_seq=seed_seq,
+        pattern_spec=None,
+        schedule_spec=None,
+        backend="numpy",
+    )
 
 
 def batched(runtime=None, counters=None, workers=1, **kw):
@@ -52,10 +81,7 @@ def scalar_reference(trials=300, seed=17, chunk_size=75):
     failures = 0
     counts = {outcome.value: 0 for outcome in ReadOutcome}
     for size, seed_seq in zip(sizes, seeds):
-        res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False, size, seed_seq,
-             None, None)
-        )
+        res = _run_scalar_chunk(chunk_spec(size, seed_seq))
         failures += res["failures"]
         for key, value in res["counts"].items():
             counts[key] += value
@@ -90,10 +116,7 @@ class TestSerialResilience:
         # the same spawned seed: reconstruct the expected estimate.
         sizes = chunk_sizes(300, 75)
         seeds = spawn_chunk_seeds(17, len(sizes))
-        scalar_res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-             sizes[2], seeds[2], None, None)
-        )
+        scalar_res = _run_scalar_chunk(chunk_spec(sizes[2], seeds[2]))
         expected_failures = (
             REFERENCE.failures - _chunk_failures(2) + scalar_res["failures"]
         )
@@ -139,15 +162,26 @@ class TestSerialResilience:
 
 def _chunk_failures(index, trials=300, seed=17, chunk_size=75):
     """Failures chunk ``index`` contributes to the undisturbed batch run."""
-    from repro.simulator.montecarlo import _run_injection_chunk
-
     sizes = chunk_sizes(trials, chunk_size)
     seeds = spawn_chunk_seeds(seed, len(sizes))
-    res = _run_injection_chunk(
-        ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-         sizes[index], seeds[index], None, None)
-    )
+    res = _run_injection_chunk(chunk_spec(sizes[index], seeds[index]))
     return res["failures"]
+
+
+def test_chunk_spec_survives_pickle_round_trip():
+    spec = chunk_spec(75, spawn_chunk_seeds(17, 1)[0])
+    clone = pickle.loads(pickle.dumps(spec))
+    assert type(clone) is ChunkSpec
+    # SeedSequence has no value equality: compare the seed by identity key.
+    assert seed_key(clone.seed_seq) == seed_key(spec.seed_seq)
+    assert replace(clone, seed_seq=None) == replace(spec, seed_seq=None)
+    ran, ran_clone = _run_injection_chunk(spec), _run_injection_chunk(clone)
+    assert (ran_clone["failures"], ran_clone["counts"]) == (
+        ran["failures"],
+        ran["counts"],
+    )
+    with pytest.raises(FrozenInstanceError):
+        spec.backend = "scalar"
 
 
 def _always_fails(_args):
@@ -211,9 +245,6 @@ class TestPooledResilience:
         assert counters.engine_fallbacks == 1
         sizes = chunk_sizes(300, 75)
         seeds = spawn_chunk_seeds(17, len(sizes))
-        scalar_res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-             sizes[0], seeds[0], None, None)
-        )
+        scalar_res = _run_scalar_chunk(chunk_spec(sizes[0], seeds[0]))
         expected = REFERENCE.failures - _chunk_failures(0) + scalar_res["failures"]
         assert estimate.failures == expected

@@ -63,6 +63,11 @@ class TestParseSpec:
         assert fleet.executor == "fleet"
         assert fleet.digest() == base.digest()
 
+    def test_lease_executor_rejected(self):
+        # The single-host board executor is gone; fleet replaces it.
+        with pytest.raises(SpecError, match="executor must be one of"):
+            parse_spec({**SPEC, "executor": "lease"})
+
     def test_engine_choice_does_not_change_digest(self):
         # engine is an execution hint (every batch backend is
         # bit-identical), so the cache key must be engine-invariant
@@ -286,6 +291,25 @@ class TestJobQueue:
         with JobQueue(path) as queue:
             assert queue.records_quarantined == 0
             assert len(queue.jobs) == 1
+
+    def test_unparseable_job_skipped_loudly(self, tmp_path):
+        from repro.obs.metrics import get_registry
+        from repro.runtime import ResilienceWarning
+
+        path = tmp_path / "queue.journal"
+        with JobQueue(path) as queue:
+            tenant, spec = parse_spec(SPEC)
+            # Journaled verbatim, as an older build that still knew the
+            # "lease" executor would have written it.
+            stale = queue.add(tenant, spec, {**SPEC, "executor": "lease"})
+            kept = queue.add(tenant, spec, SPEC)
+        with pytest.warns(ResilienceWarning, match=stale.id):
+            queue = JobQueue(path)
+        with queue:
+            assert stale.id not in queue.jobs
+            assert kept.id in queue.jobs
+        snapshot = get_registry().snapshot()
+        assert snapshot["repro.service.queue_unparseable"]["value"] == 1
 
     def test_active_by_digest(self, tmp_path):
         with JobQueue(tmp_path / "q.journal") as queue:
